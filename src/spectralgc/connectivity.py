@@ -282,7 +282,8 @@ def save_field_csv(fields, path) -> None:
     """Write one or more fields as ``nu,i,j,re,im,kind,method`` rows.
 
     Channel indices are 1-based.  Multiple fields concatenate; the kind
-    and method columns keep the rows self-describing.
+    and method columns keep the rows self-describing.  Numbers are
+    written with ``%.17g``, so they read back exactly.
     """
     if isinstance(fields, ConnectivityField):
         fields = [fields]
@@ -291,14 +292,18 @@ def save_field_csv(fields, path) -> None:
         fh.write("nu,i,j,re,im,kind,method\n")
         for f in fields:
             n = f.n_channels
-            for k, nu in enumerate(f.frequencies):
-                for i in range(n):
-                    for j in range(n):
-                        v = complex(f.values[k, i, j])
-                        fh.write(
-                            f"{nu:.17g},{i + 1},{j + 1},{v.real:.17g},{v.imag:.17g},"
-                            f"{f.kind},{f.method_tag}\n"
-                        )
+            suffix = f",{f.kind},{f.method_tag}\n".replace("%", "%%")
+            # one frequency's n*n rows as a single format, fed (nu, re, im) per row;
+            # each nu is formatted once and repeated as a string
+            block = "".join(
+                f"%s,{i + 1},{j + 1},%.17g,%.17g{suffix}" for i in range(n) for j in range(n)
+            )
+            nu = ["%.17g" % v for v in np.asarray(f.frequencies, dtype=float).tolist()]
+            cols = np.empty(f.values.shape + (3,), dtype=object)
+            cols[..., 0] = np.array(nu, dtype=object)[:, None, None]
+            cols[..., 1] = f.values.real
+            cols[..., 2] = f.values.imag
+            fh.write((block * len(nu)) % tuple(cols.ravel().tolist()))
 
 
 def load_field_csv(path) -> list:

@@ -16,8 +16,12 @@ second-order method can identify anyway.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,25 +66,28 @@ def _check_panel(panel: TimeSeriesPanel) -> np.ndarray:
     return x
 
 
-def _nuttall_strand(x: np.ndarray, p_max: int) -> list:
-    """Stagewise recursion; returns ``[(ar_blocks, residual_cov)]`` for p=0..p_max.
+def _lattice_stages(x: np.ndarray):
+    """Nuttall-Strand stages ``(ar_blocks, residual_cov)`` for p = 0, 1, 2, ..., lazily.
 
     Each stage solves the Sylvester equation expressing the harmonic-mean
     (Nuttall-Strand) compromise between the forward and backward partial
     correlation normal equations, then updates both prediction-error
-    filters Levinson-style.
+    filters Levinson-style.  ``ef``/``eb`` hold only the ``n_samp - m``
+    samples where the order-m errors are defined, so each update is one
+    slice expression.
     """
     n, n_samp = x.shape
-    ef = x.copy()
-    eb = x.copy()
+    ef = eb = np.ascontiguousarray(x)
     pf = x @ x.T / n_samp
     pb = pf.copy()
     fwd: list = []  # forward coefficient blocks of the current order
     bwd: list = []
-    out = [([], pf.copy())]
-    for m in range(1, p_max + 1):
-        f = ef[:, m:]
-        b = eb[:, m - 1 : n_samp - 1]
+    yield [], pf.copy()
+    m = 0
+    while True:
+        m += 1
+        f = ef[:, 1:]
+        b = eb[:, :-1]
         pfh = f @ f.T
         pbh = b @ b.T
         pfbh = f @ b.T
@@ -98,12 +105,54 @@ def _nuttall_strand(x: np.ndarray, p_max: int) -> list:
         pb = (np.eye(n) - b_m @ a_m) @ pb
         pf = 0.5 * (pf + pf.T)
         pb = 0.5 * (pb + pb.T)
-        ef_new = ef[:, m:] - a_m @ eb[:, m - 1 : n_samp - 1]
-        eb_new = eb[:, m - 1 : n_samp - 1] - b_m @ ef[:, m:]
-        ef = np.concatenate([np.zeros((n, m)), ef_new], axis=1)
-        eb = np.concatenate([np.zeros((n, m)), eb_new], axis=1)
-        out.append(([a.copy() for a in fwd], pf.copy()))
-    return out
+        ef, eb = f - a_m @ b, b - b_m @ f
+        del f, b  # a suspended generator must not pin the previous stage's errors
+        yield [a.copy() for a in fwd], pf.copy()
+
+
+#: lattices shared by the fits of one panel while :func:`shared_lattice` is active
+_lattice_cache: ContextVar[dict | None] = ContextVar("lattice_cache", default=None)
+
+
+@contextmanager
+def shared_lattice():
+    """Share one Nuttall-Strand lattice per panel among the fits inside the block.
+
+    Within the block, a fit that needs order 50 after another needed
+    order 30 on the same panel data continues the same lattice from stage
+    30 instead of restarting; stages are identical either way.  Panels
+    are recognized by content.  The cache lives only until the block
+    exits, so nothing is retained between experiment runs, and each thread
+    has its own.
+    """
+    token = _lattice_cache.set({})
+    try:
+        yield
+    finally:
+        _lattice_cache.reset(token)
+
+
+def _nuttall_strand(x: np.ndarray, p_max: int) -> list:
+    """Stages ``[(ar_blocks, residual_cov)]`` for p = 0..p_max (see :func:`_lattice_stages`).
+
+    Inside :func:`shared_lattice` the stages of a panel are computed once
+    and shared by every fit of that panel (VAR order sweep and long-VAR
+    prewhitening alike); outside it each call runs its own lattice.
+    """
+    cache = _lattice_cache.get()
+    if cache is None:
+        return list(itertools.islice(_lattice_stages(x), p_max + 1))
+    key = (x.shape, x.dtype.str, hashlib.blake2b(np.ascontiguousarray(x).data).digest())
+    if key not in cache:
+        cache[key] = (_lattice_stages(x), [])
+    gen, stages = cache[key]
+    try:
+        while len(stages) <= p_max:
+            stages.append(next(gen))
+    except NumericalError:
+        del cache[key]  # the generator is spent; a retry must fail the same way
+        raise
+    return stages[: p_max + 1]
 
 
 def hannan_quinn(residual_covs, n_samples: int, n_channels: int) -> int:
@@ -124,27 +173,28 @@ def hannan_quinn(residual_covs, n_samples: int, n_channels: int) -> int:
     """
     if len(residual_covs) == 0:
         raise ConfigError("hannan_quinn needs at least one candidate order")
-    penalty_unit = 2.0 * n_channels**2 * np.log(np.log(n_samples)) / n_samples
-    best_order, best_val = None, np.inf
-    for order, cov in sorted(residual_covs, key=lambda oc: oc[0]):
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            continue
-        val = logdet + order * penalty_unit
-        if val < best_val:
-            best_order, best_val = order, val
-    if best_order is None:
-        raise NumericalError("all candidate residual covariances were singular")
-    return best_order
+    return _hq_argmin(_hq_values(residual_covs, n_samples, n_channels))
 
 
 def _hq_values(residual_covs, n_samples: int, n_channels: int) -> list:
+    """``(order, ln det cov + penalty)`` pairs; a singular or indefinite cov scores inf."""
     penalty_unit = 2.0 * n_channels**2 * np.log(np.log(n_samples)) / n_samples
     vals = []
     for order, cov in residual_covs:
         sign, logdet = np.linalg.slogdet(cov)
         vals.append((order, (logdet + order * penalty_unit) if sign > 0 else np.inf))
     return vals
+
+
+def _hq_argmin(values) -> int:
+    """Order of the smallest finite criterion value, ties to the smaller order."""
+    best_order, best_val = None, np.inf
+    for order, val in sorted(values, key=lambda ov: ov[0]):
+        if val < best_val:
+            best_order, best_val = order, val
+    if best_order is None:
+        raise NumericalError("all candidate residual covariances were singular")
+    return best_order
 
 
 def fit_var(panel: TimeSeriesPanel, p_max: int = 30) -> FitReport:
@@ -157,10 +207,11 @@ def fit_var(panel: TimeSeriesPanel, p_max: int = 30) -> FitReport:
         )
     stages = _nuttall_strand(x, p_max)
     candidates = [(p, stages[p][1]) for p in range(1, p_max + 1)]
-    p_hat = hannan_quinn(candidates, panel.n_samples, n)
+    values = _hq_values(candidates, panel.n_samples, n)
+    p_hat = _hq_argmin(values)
     ar, sigma = stages[p_hat]
     model = VarmaModel(np.array(ar), np.eye(n)[None], sigma)
-    return FitReport(model, (p_hat, 0), _hq_values(candidates, panel.n_samples, n), sigma)
+    return FitReport(model, (p_hat, 0), values, sigma)
 
 
 def _long_var_residuals(x: np.ndarray, long_ar_order: int):

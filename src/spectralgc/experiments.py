@@ -35,7 +35,7 @@ from .connectivity import (
     total_pdc,
 )
 from .errors import ConfigError
-from .estimators import fit_var, fit_vma, fit_varma
+from .estimators import fit_var, fit_vma, fit_varma, shared_lattice
 from .models import (
     FrequencyGrid,
     VarmaModel,
@@ -190,11 +190,12 @@ def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q,
     """Simulate realization ``r`` and fit every method; returns field dicts."""
     panel = simulate(model, spec.n_samples, spec.base_seed + r)
     tpdc_fields, tdtf_fields, orders_used = {}, {}, {}
-    for method in methods:
-        factor, order = _fit_method(method, panel, spec, vma_q, varma_pq)
-        tpdc_fields[method] = total_pdc(factor, method_tag=method)
-        tdtf_fields[method] = total_dtf(factor, method_tag=method)
-        orders_used[method] = order
+    with shared_lattice():
+        for method in methods:
+            factor, order = _fit_method(method, panel, spec, vma_q, varma_pq)
+            tpdc_fields[method] = total_pdc(factor, method_tag=method)
+            tdtf_fields[method] = total_dtf(factor, method_tag=method)
+            orders_used[method] = order
     return tpdc_fields, tdtf_fields, orders_used
 
 
@@ -364,11 +365,12 @@ def analyze_panel(spec: ExperimentSpec) -> dict:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fields, orders = [], {}
-    for method in methods:
-        factor, order = _fit_method(method, panel, spec, vma_q, varma_pq)
-        fields.append(total_pdc(factor, method_tag=method))
-        fields.append(total_dtf(factor, method_tag=method))
-        orders[method] = order
+    with shared_lattice():
+        for method in methods:
+            factor, order = _fit_method(method, panel, spec, vma_q, varma_pq)
+            fields.append(total_pdc(factor, method_tag=method))
+            fields.append(total_dtf(factor, method_tag=method))
+            orders[method] = order
     save_field_csv(fields, out / "fields.csv")
     summary = {
         "config": asdict(spec),

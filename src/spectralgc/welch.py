@@ -59,7 +59,8 @@ def welch_cross_spectrum(panel: TimeSeriesPanel, config: WelchConfig = WelchConf
     u = np.mean(window**2)
     starts = hop * np.arange(n_seg)
     segments = np.stack([x[:, s : s + L] for s in starts])  # (n_seg, N, L)
-    coeffs = np.fft.fft(segments * window, axis=-1)  # (n_seg, N, L)
+    segments *= window  # in place: a windowed copy would sit on this step's memory peak
+    coeffs = np.fft.fft(segments, axis=-1)  # (n_seg, N, L)
 
     S = np.einsum("kif,kjf->fij", coeffs, coeffs.conj()) / (n_seg * u * L)
     return SpectralMatrix(FrequencyGrid(L), S)

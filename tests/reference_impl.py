@@ -227,3 +227,40 @@ ALL_EXAMPLE_PARAMETERS = {
     2: example2_parameters,
     4: example4_parameters,
 }
+
+
+def simulate_per_sample(ar_blocks, ma_blocks, sigma, n_samples, seed, burn_in):
+    """Per-sample VARMA recursion: same draws and coloring as the package, one step at a time."""
+    ar = np.asarray(ar_blocks, dtype=float)
+    ma = np.asarray(ma_blocks, dtype=float)
+    n = ma.shape[1]
+    p, q = ar.shape[0], ma.shape[0] - 1
+    total = burn_in + n_samples
+    rng = np.random.default_rng(seed)
+    chol = np.linalg.cholesky(np.asarray(sigma, dtype=float))
+    w = rng.standard_normal((total + q, n)) @ chol.T  # w[k] is innovation at time k - q
+    x = np.zeros((total, n))
+    for s in range(q + 1):
+        x += w[q - s : q - s + total] @ ma[s].T
+    for t in range(total):
+        acc = x[t]
+        for r in range(1, min(p, t) + 1):
+            acc = acc + ar[r - 1] @ x[t - r]
+        x[t] = acc
+    return x[burn_in:].T
+
+
+def save_field_csv_rows(fields, path):
+    """Field CSV writer, one formatted row per (frequency, i, j) entry."""
+    with open(path, "w") as fh:
+        fh.write("nu,i,j,re,im,kind,method\n")
+        for f in fields:
+            n = f.n_channels
+            for k, nu in enumerate(f.frequencies):
+                for i in range(n):
+                    for j in range(n):
+                        v = complex(f.values[k, i, j])
+                        fh.write(
+                            f"{nu:.17g},{i + 1},{j + 1},{v.real:.17g},{v.imag:.17g},"
+                            f"{f.kind},{f.method_tag}\n"
+                        )

@@ -297,3 +297,20 @@ def test_field_csv_roundtrip(tmp_path):
     assert np.array_equal(by_kind["tPDC"].values, fields[0].values)
     assert np.array_equal(by_kind["tDTF"].values, fields[1].values)
     assert by_kind["tPDC"].method_tag == "theory"
+
+
+def test_field_csv_bytes_match_row_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    grid = FrequencyGrid(16)
+    fields = []
+    for n in range(1, 8):
+        shape = (grid.one_sided_count, n, n)
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        values[0] = -0.0  # negative zeros in both parts
+        values[1] = 1e-300 - 0.0j
+        fields.append(ConnectivityField(grid, values, "tPDC", f"m{n}"))
+        fields.append(ConnectivityField(grid, rng.normal(size=shape), "tDTF", "real-only"))
+    fields.append(ConnectivityField(grid, -np.zeros((grid.one_sided_count, 2, 2)), "DC", ""))
+    save_field_csv(fields, tmp_path / "new.csv")
+    ref.save_field_csv_rows(fields, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -6,6 +6,7 @@ import pytest
 from spectralgc import (
     ConfigError,
     DegeneratePanelError,
+    ExperimentSpec,
     FrequencyGrid,
     NumericalError,
     TimeSeriesPanel,
@@ -23,6 +24,8 @@ from spectralgc import (
     sweep_orders,
     theoretical_spectrum,
 )
+from spectralgc import estimators, experiments
+from spectralgc.estimators import shared_lattice
 
 
 def _white_panel(n_samples=16384, seed=0, n=2):
@@ -184,3 +187,91 @@ def test_save_fit_report(tmp_path):
     assert payload["selected_order"] == [0, 1]
     loaded = VarmaModel.from_dict(payload["model"])
     assert np.allclose(loaded.ma_blocks, report.model.ma_blocks)
+
+
+# ------------------------------------------------------------ shared lattice
+
+def _assert_same_report(a, b):
+    assert a.selected_order == b.selected_order
+    assert a.criterion_values == b.criterion_values
+    for name in ("ar_blocks", "ma_blocks", "innovations_cov"):
+        assert np.array_equal(getattr(a.model, name), getattr(b.model, name)), name
+    assert np.array_equal(a.residual_cov, b.residual_cov)
+
+
+@pytest.mark.parametrize("order", [("var", "vma", "varma"), ("vma", "var", "varma"), ("varma", "vma", "var")])
+def test_shared_lattice_fits_are_bit_identical_to_standalone(order):
+    panel = simulate(example_model(2), 4096, seed=12)
+    fits = {
+        "var": lambda: fit_var(panel, p_max=30),
+        "vma": lambda: fit_vma(panel, 5),
+        "varma": lambda: fit_varma(panel, 2, 2),
+    }
+    standalone = {m: fits[m]() for m in order}
+    with shared_lattice():
+        shared = {m: fits[m]() for m in order}
+    for m in order:
+        _assert_same_report(shared[m], standalone[m])
+
+
+def _count_stages(monkeypatch):
+    counter = {"stages": 0}
+    original = estimators._lattice_stages
+
+    def counting(x):
+        for k, stage in enumerate(original(x)):
+            counter["stages"] += k > 0
+            yield stage
+
+    monkeypatch.setattr(estimators, "_lattice_stages", counting)
+    return counter
+
+
+@pytest.mark.parametrize("example_id, shared_stages, separate_stages", [(1, 50, 80), (2, 50, 130)])
+def test_one_lattice_per_realization(monkeypatch, example_id, shared_stages, separate_stages):
+    spec = ExperimentSpec(example_id=example_id, n_samples=1024, n_realizations=1)
+    model = example_model(example_id)
+    methods, vma_q, varma_pq = experiments._resolve_methods_and_orders(spec, model)
+    counter = _count_stages(monkeypatch)
+    experiments._realization_fields(model, spec, methods, vma_q, varma_pq, 0)
+    assert counter["stages"] == shared_stages
+    assert estimators._lattice_cache.get() is None
+    counter["stages"] = 0
+    panel = simulate(model, spec.n_samples, spec.base_seed)
+    for method in methods:
+        experiments._fit_method(method, panel, spec, vma_q, varma_pq)
+    assert counter["stages"] == separate_stages
+
+
+def test_lattice_failure_is_not_cached(monkeypatch):
+    panel = simulate(example_model(2), 2048, seed=3)
+    real_solve = estimators.solve_sylvester
+    calls = {"n": 0}
+
+    def failing_at_stage_3(*args):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise np.linalg.LinAlgError("forced")
+        return real_solve(*args)
+
+    monkeypatch.setattr(estimators, "solve_sylvester", failing_at_stage_3)
+    with shared_lattice():
+        with pytest.raises(NumericalError, match="stage 3"):
+            fit_var(panel, p_max=10)
+        assert estimators._lattice_cache.get() == {}
+        calls["n"] = 0  # a retry runs a fresh lattice and fails the same way
+        with pytest.raises(NumericalError, match="stage 3"):
+            fit_var(panel, p_max=10)
+        monkeypatch.setattr(estimators, "solve_sylvester", real_solve)
+        shared = fit_var(panel, p_max=10)
+    _assert_same_report(shared, fit_var(panel, p_max=10))
+
+
+def test_shared_lattice_retains_nothing_after_the_block():
+    panel = simulate(example_model(2), 2048, seed=3)
+    with pytest.raises(RuntimeError):
+        with shared_lattice():
+            fit_var(panel, p_max=5)
+            assert len(estimators._lattice_cache.get()) == 1
+            raise RuntimeError
+    assert estimators._lattice_cache.get() is None

@@ -209,3 +209,20 @@ def test_analyze_vma_requires_orders(tmp_path):
         analyze_panel(_spec(tmp_path, panel_path=str(csv_path), methods=("vma",)))
     with pytest.raises(ConfigError, match="AR order"):
         analyze_panel(_spec(tmp_path, panel_path=str(csv_path), methods=("varma",)))
+
+
+def test_process_pool_writes_the_same_bundle(tmp_path):
+    bundles = {}
+    for n_jobs in (1, 2):
+        run_example(_spec(tmp_path, example_id=2, n_jobs=n_jobs))
+        out = tmp_path / "out"
+        bundles[n_jobs] = {name: (out / name).read_bytes() for name in ("summary.json", "fields_r0.csv")}
+    assert bundles[2]["fields_r0.csv"] == bundles[1]["fields_r0.csv"]
+    # the recorded config (and so its hash) is the one line that may differ
+    one = bundles[1]["summary.json"].decode().splitlines()
+    two = bundles[2]["summary.json"].decode().splitlines()
+    differing = [(a, b) for a, b in zip(one, two) if a != b]
+    assert len(one) == len(two)
+    assert [(a.strip(), b.strip()) for a, b in differing if '"config_hash"' not in a] == [
+        ('"n_jobs": 1,', '"n_jobs": 2,')
+    ]

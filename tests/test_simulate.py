@@ -3,17 +3,20 @@ import json
 import numpy as np
 import pytest
 
+import reference_impl as ref
 from spectralgc import (
     ConfigError,
     TimeSeriesPanel,
     UnstableModelError,
     VarmaModel,
+    ar_root_report,
     example_model,
     load_panel_csv,
     sample_covariance,
     save_panel_csv,
     simulate,
 )
+from spectralgc.simulate import BLOCK_LEN
 
 
 def _identity_model(n=2):
@@ -100,3 +103,42 @@ def test_panel_csv_rejects_malformed(tmp_path):
 def test_simulate_rejects_empty_request():
     with pytest.raises(ConfigError):
         simulate(_identity_model(), 0, seed=1)
+
+
+def _random_stable_model(rng, n, p, q, root_radius=None):
+    """Random stable VARMA(p, q); ``root_radius`` plants a real AR root of that magnitude."""
+    while True:
+        ar = rng.normal(scale=0.8 / np.sqrt(n * p), size=(p, n, n))
+        if root_radius is not None:
+            ar[0] = np.diag(np.r_[root_radius, 0.1 * rng.uniform(size=n - 1)])
+            ar[1:] = 0.0
+        ma = np.concatenate([np.eye(n)[None], rng.normal(scale=0.5, size=(q, n, n))])
+        w = rng.normal(size=(n, n))
+        model = VarmaModel(ar, ma, w @ w.T + np.eye(n))
+        if ar_root_report(model).classification == "stable":
+            return model
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_block_recursion_matches_per_sample_loop(n):
+    rng = np.random.default_rng(n)
+    cases = [(p, q, None) for p in range(1, 5) for q in (0, 2)] + [(n % 4 + 1, 1, 0.995)]
+    for p, q, radius in cases:
+        model = _random_stable_model(rng, n, p, q, radius)
+        for n_samples, burn_in in ((1, 0), (BLOCK_LEN - 3, 0), (3 * BLOCK_LEN + 5, 0), (700, 250)):
+            got = simulate(model, n_samples, seed=p, burn_in=burn_in).data
+            want = ref.simulate_per_sample(
+                model.ar_blocks, model.ma_blocks, model.innovations_cov, n_samples, p, burn_in
+            )
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, (p, q, radius, n_samples)
+
+
+def test_block_recursion_near_unit_root_example():
+    r = 0.995
+    model = VarmaModel(np.array([[[2 * r * np.cos(0.1), 0.0], [0.3, 0.5]], [[-r * r, 0.0], [0.0, 0.0]]]),
+                       np.eye(2)[None], np.eye(2))
+    assert ar_root_report(model).magnitudes.max() >= 0.99
+    got = simulate(model, 5000, seed=4, burn_in=0).data
+    want = ref.simulate_per_sample(model.ar_blocks, model.ma_blocks, model.innovations_cov, 5000, 4, 0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

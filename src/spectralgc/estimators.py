@@ -199,6 +199,8 @@ def _hq_argmin(values) -> int:
 
 def fit_var(panel: TimeSeriesPanel, p_max: int = 30) -> FitReport:
     """Nuttall-Strand VAR fit with Hannan-Quinn selection over p = 1..p_max."""
+    if p_max < 1:
+        raise ConfigError(f"p_max must be a positive integer, got {p_max}")
     x = _check_panel(panel)
     n = panel.n_channels
     if panel.n_samples <= n * p_max + 1:
@@ -225,11 +227,22 @@ def _long_var_residuals(x: np.ndarray, long_ar_order: int):
     return eps, long_ar_order
 
 
-def _solve_block_regression(Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def _two_step_regression(x: np.ndarray, eps: np.ndarray, off: int, p: int, q: int):
+    """Least squares ``Y ~ C Z``: ``x(n) - eps(n)`` on lags ``x(n - 1..p)``, ``eps(n - 1..q)``.
+
+    ``eps`` starts at sample ``off``; rows run where every lag exists.
+    Returns ``(Y, Z, C)``, with the AR blocks first in ``C``.
+    """
+    n_samp = x.shape[1]
+    t0 = off + max(p, q)
+    Y = x[:, t0:] - eps[:, t0 - off :]
+    blocks = [x[:, t0 - r : n_samp - r] for r in range(1, p + 1)]
+    blocks += [eps[:, t0 - off - s : n_samp - off - s] for s in range(1, q + 1)]
+    Z = np.concatenate(blocks, axis=0)
     ZZt = Z @ Z.T
     if np.linalg.cond(ZZt) > 1e12:
         raise NumericalError("regressor matrix is numerically rank deficient")
-    return np.linalg.solve(ZZt, Z @ Y.T).T
+    return Y, Z, np.linalg.solve(ZZt, Z @ Y.T).T
 
 
 def _ensure_minimum_phase(ma_blocks: np.ndarray, sigma: np.ndarray):
@@ -261,6 +274,21 @@ def _ensure_minimum_phase(ma_blocks: np.ndarray, sigma: np.ndarray):
     return new_ma, 0.5 * (new_sigma + new_sigma.T)
 
 
+def _fit_two_step(x: np.ndarray, p: int, q: int, long_ar_order: int) -> FitReport:
+    """Two-step VARMA(p, q) fit of a checked panel; ``p = 0`` is the VMA(q) fit."""
+    n = x.shape[0]
+    eps, off = _long_var_residuals(x, long_ar_order)
+    _, _, C = _two_step_regression(x, eps, off, p, q)
+    ar = C[:, : p * n].reshape(n, p, n).transpose(1, 0, 2).copy()
+    ma = np.concatenate(
+        [np.eye(n)[None], C[:, p * n :].reshape(n, q, n).transpose(1, 0, 2)], axis=0
+    )
+    sigma = eps @ eps.T / eps.shape[1]
+    ma, sigma = _ensure_minimum_phase(ma, 0.5 * (sigma + sigma.T))
+    model = VarmaModel(ar, ma, sigma)
+    return FitReport(model, (p, q), [], model.innovations_cov)
+
+
 def fit_vma(panel: TimeSeriesPanel, q: int, long_ar_order: int = DEFAULT_LONG_AR_ORDER) -> FitReport:
     """Two-step VMA(q) fit.
 
@@ -272,23 +300,11 @@ def fit_vma(panel: TimeSeriesPanel, q: int, long_ar_order: int = DEFAULT_LONG_AR
     if q < 1:
         raise ConfigError(f"q must be a positive integer, got {q}")
     x = _check_panel(panel)
-    n, n_samp = x.shape
-    if n_samp < 4 * (long_ar_order + q):
+    if x.shape[1] < 4 * (long_ar_order + q):
         raise ConfigError(
             f"panel too short for long_ar_order={long_ar_order} and q={q}"
         )
-    eps, off = _long_var_residuals(x, long_ar_order)
-    t0 = off + q
-    Y = x[:, t0:] - eps[:, t0 - off :]
-    Z = np.concatenate([eps[:, t0 - off - s : n_samp - off - s] for s in range(1, q + 1)], axis=0)
-    C = _solve_block_regression(Y, Z)
-    ma = np.concatenate(
-        [np.eye(n)[None], C.reshape(n, q, n).transpose(1, 0, 2)], axis=0
-    )
-    sigma = eps @ eps.T / eps.shape[1]
-    ma, sigma = _ensure_minimum_phase(ma, 0.5 * (sigma + sigma.T))
-    model = VarmaModel(np.zeros((0, n, n)), ma, sigma)
-    return FitReport(model, (0, q), [], model.innovations_cov)
+    return _fit_two_step(x, 0, q, long_ar_order)
 
 
 def fit_varma(
@@ -301,28 +317,14 @@ def fit_varma(
     if p < 1 or q < 0:
         raise ConfigError(f"orders must satisfy p >= 1 and q >= 0, got ({p}, {q})")
     x = _check_panel(panel)
-    n, n_samp = x.shape
-    if n_samp < 4 * (long_ar_order + max(p, q)):
+    if x.shape[1] < 4 * (long_ar_order + max(p, q)):
         raise ConfigError(
             f"panel too short for long_ar_order={long_ar_order} and orders ({p}, {q})"
         )
-    eps, off = _long_var_residuals(x, long_ar_order)
-    t0 = off + max(p, q)
-    Y = x[:, t0:] - eps[:, t0 - off :]
-    blocks = [x[:, t0 - r : n_samp - r] for r in range(1, p + 1)]
-    blocks += [eps[:, t0 - off - s : n_samp - off - s] for s in range(1, q + 1)]
-    Z = np.concatenate(blocks, axis=0)
-    C = _solve_block_regression(Y, Z)
-    ar = C[:, : p * n].reshape(n, p, n).transpose(1, 0, 2).copy()
-    ma = np.concatenate(
-        [np.eye(n)[None], C[:, p * n :].reshape(n, q, n).transpose(1, 0, 2)], axis=0
-    )
-    sigma = eps @ eps.T / eps.shape[1]
-    ma, sigma = _ensure_minimum_phase(ma, 0.5 * (sigma + sigma.T))
-    model = VarmaModel(ar, ma, sigma)
-    if ar_root_report(model).classification != "stable":
+    report = _fit_two_step(x, p, q, long_ar_order)
+    if ar_root_report(report.model).classification != "stable":
         warnings.warn("fitted VARMA autoregressive part is not stable", stacklevel=2)
-    return FitReport(model, (p, q), [], model.innovations_cov)
+    return report
 
 
 def sweep_orders(
@@ -349,13 +351,8 @@ def sweep_orders(
         for q in q_values:
             if p < 0 or q < 0 or p + q == 0:
                 continue
-            t0 = off + max(p, q)
-            Y = x[:, t0:] - eps[:, t0 - off :]
-            blocks = [x[:, t0 - r : n_samp - r] for r in range(1, p + 1)]
-            blocks += [eps[:, t0 - off - s : n_samp - off - s] for s in range(1, q + 1)]
-            Z = np.concatenate(blocks, axis=0)
             try:
-                C = _solve_block_regression(Y, Z)
+                Y, Z, C = _two_step_regression(x, eps, off, p, q)
             except NumericalError:
                 continue
             resid = Y - C @ Z

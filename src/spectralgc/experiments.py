@@ -85,6 +85,8 @@ class ExperimentSpec:
         self.methods = tuple(self.methods)
         if self.n_realizations < 1:
             raise ConfigError(f"need at least one realization, got {self.n_realizations}")
+        if self.n_jobs < 1:
+            raise ConfigError(f"need at least one job, got {self.n_jobs}")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
@@ -156,16 +158,19 @@ def _resolve_methods_and_orders(spec: ExperimentSpec, model: VarmaModel):
             if varma_pq:
                 methods.append("varma")
             methods = tuple(methods + ["wn"])
-    if spec.orders is not None:
-        p, q = spec.orders
+    return _apply_orders(methods, vma_q, varma_pq, spec.orders)
+
+
+def _apply_orders(methods, vma_q, varma_pq, orders):
+    """Override ``(vma_q, varma_pq)`` by explicit orders and check vma/varma can run."""
+    if orders is not None:
+        p, q = orders
         vma_q = q if q >= 1 else None
         varma_pq = (p, q) if p >= 1 else None
     if "vma" in methods and not vma_q:
         raise ConfigError("method 'vma' needs a positive MA order; pass --orders p,q")
     if "varma" in methods and not varma_pq:
-        raise ConfigError(
-            "method 'varma' needs a positive AR order; pass --orders p,q"
-        )
+        raise ConfigError("method 'varma' needs a positive AR order; pass --orders p,q")
     return tuple(methods), vma_q, varma_pq
 
 
@@ -351,16 +356,7 @@ def analyze_panel(spec: ExperimentSpec) -> dict:
     panel = load_panel_csv(spec.panel_path)
     if panel.n_channels < 2:
         raise ConfigError("need at least 2 channels for connectivity analysis")
-    methods = spec.methods or ("var", "wn")
-    vma_q = varma_pq = None
-    if spec.orders is not None:
-        p, q = spec.orders
-        vma_q = q if q >= 1 else None
-        varma_pq = (p, q) if p >= 1 else None
-    if "vma" in methods and not vma_q:
-        raise ConfigError("method 'vma' needs a positive MA order; pass --orders p,q")
-    if "varma" in methods and not varma_pq:
-        raise ConfigError("method 'varma' needs a positive AR order; pass --orders p,q")
+    methods, vma_q, varma_pq = _apply_orders(spec.methods or ("var", "wn"), None, None, spec.orders)
 
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)

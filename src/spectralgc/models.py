@@ -7,13 +7,13 @@ A model is
 with ``r = 1..p`` and ``s = 0..q``.  The matrix polynomials evaluated on
 the unit circle are ``A(nu) = I - sum_r A_r exp(-i 2 pi nu r)`` and
 ``B(nu) = sum_s B_s exp(-i 2 pi nu s)``, giving the transfer function
-``H = A^{-1} B`` and spectral matrix ``S = H sigma H^H``.
+``H = A^{-1} B`` and spectral matrix ``S = H sigma H^H``.  The roots of
+``det A(z)`` and ``det B(z)`` are companion-matrix eigenvalues.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -286,7 +286,9 @@ class RootReport:
     """Roots of ``det A(z)`` or ``det B(z)`` with their magnitudes.
 
     ``roots`` are in the z-plane (delay operator ``z^{-1}``), sorted by
-    decreasing magnitude.  The stability/phase conventions:
+    decreasing magnitude.  They are the eigenvalues of the block companion
+    matrix of the polynomial above 1e-10 in magnitude; smaller ones are
+    structural zeros.  The stability/phase conventions:
 
     * AR part is *stable* when every root satisfies ``|z| < 1 - 1e-9``;
     * MA part is *minimum-phase* when every root satisfies ``|z| <= 1 + 1e-9``.
@@ -297,51 +299,42 @@ class RootReport:
     classification: str
 
 
-def _det_polynomial(entry_coeffs: np.ndarray) -> np.ndarray:
-    """Determinant of a matrix polynomial via the Leibniz expansion.
+_STRUCTURAL_ZERO = 1e-10
 
-    ``entry_coeffs[k, i, j]`` is the coefficient of ``w^k`` in entry
-    ``(i, j)`` where ``w = exp(-i 2 pi nu)`` is the delay variable.
-    Factorial cost in N, which is fine for the small systems handled here.
+
+def _companion_roots(first_row: np.ndarray) -> np.ndarray:
+    """Roots in z of ``det(I - sum_k C_k z^{-k})`` for ``first_row = C_1 .. C_m``.
+
+    They are the nonzero eigenvalues of the block companion matrix
+    (Lütkepohl 2005, sec. 2.1).  Its ``mN`` eigenvalues include one at
+    ``z = 0`` for every degree the determinant lacks as a polynomial in
+    ``z^{-1}`` (rank-deficient ``C_m``, constant determinant); computed,
+    they land at rounding level (below 1e-13 on random models up to
+    N = 7), hence the cutoff.
     """
-    n = entry_coeffs.shape[1]
-    det = np.zeros((entry_coeffs.shape[0] - 1) * n + 1)
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
-        term = np.array([1.0])
-        for i in range(n):
-            term = np.convolve(term, entry_coeffs[:, i, perm[i]])
-        det[: term.size] += (-1.0) ** inversions * term
-    return det
-
-
-def _roots_in_z(det_w: np.ndarray) -> np.ndarray:
-    """Roots in z of a determinant polynomial given in the w = 1/z variable."""
-    coeffs = np.trim_zeros(det_w[::-1], "f")  # highest power of w first
-    if coeffs.size <= 1:
+    m, n, _ = first_row.shape
+    if m == 0:
         return np.array([], dtype=complex)
-    w_roots = np.roots(coeffs)
-    w_roots = w_roots[np.abs(w_roots) > 1e-300]
-    z_roots = 1.0 / w_roots
-    order = np.lexsort((np.angle(z_roots), -np.abs(z_roots)))
-    return z_roots[order]
+    companion = np.eye(m * n, k=-n)
+    companion[:n] = first_row.transpose(1, 0, 2).reshape(n, m * n)
+    eig = np.linalg.eigvals(companion)
+    roots = eig[np.abs(eig) > _STRUCTURAL_ZERO]
+    order = np.lexsort((np.angle(roots), -np.abs(roots)))
+    return roots[order]
 
 
 def ar_root_report(model: VarmaModel) -> RootReport:
-    """Roots of ``det A(z)`` with a stable/unstable classification."""
-    n = model.n_channels
-    coeffs = np.concatenate([np.eye(n)[None], -model.ar_blocks], axis=0)
-    roots = _roots_in_z(_det_polynomial(coeffs))
+    """Roots of ``det A(z)`` (companion first block row ``A_1 .. A_p``), stable or not."""
+    roots = _companion_roots(model.ar_blocks)
     mags = np.abs(roots)
     stable = roots.size == 0 or np.all(mags < 1.0 - 1e-9)
     return RootReport(roots, mags, "stable" if stable else "unstable")
 
 
 def ma_root_report(model: VarmaModel) -> RootReport:
-    """Roots of ``det B(z)`` with a minimum-phase classification."""
-    roots = _roots_in_z(_det_polynomial(model.ma_blocks))
+    """Roots of ``det B(z)`` (companion first block row ``-B_0^{-1} B_s``), minimum-phase or not."""
+    B0_inv = np.linalg.inv(model.ma_blocks[0])
+    roots = _companion_roots(-(B0_inv @ model.ma_blocks[1:]))
     mags = np.abs(roots)
     minphase = roots.size == 0 or np.all(mags <= 1.0 + 1e-9)
     return RootReport(roots, mags, "minimum-phase" if minphase else "nonminimum-phase")

@@ -9,6 +9,8 @@ Agreement between this code and the package is therefore a meaningful
 check rather than a tautology.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -264,3 +266,34 @@ def save_field_csv_rows(fields, path):
                             f"{nu:.17g},{i + 1},{j + 1},{v.real:.17g},{v.imag:.17g},"
                             f"{f.kind},{f.method_tag}\n"
                         )
+
+
+def det_polynomial_leibniz(entry_coeffs):
+    """Determinant of a matrix polynomial by the Leibniz expansion over all N! permutations.
+
+    ``entry_coeffs[k, i, j]`` is the coefficient of ``w^k`` in entry
+    ``(i, j)``, with ``w = z^{-1}`` the delay variable.  Returns the
+    coefficients of ``det`` in increasing powers of ``w``.
+    """
+    n = entry_coeffs.shape[1]
+    det = np.zeros((entry_coeffs.shape[0] - 1) * n + 1)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        term = np.array([1.0])
+        for i in range(n):
+            term = np.convolve(term, entry_coeffs[:, i, perm[i]])
+        det[: term.size] += (-1.0) ** inversions * term
+    return det
+
+
+def roots_leibniz(entry_coeffs):
+    """Roots in z of the determinant of a matrix polynomial in ``w = z^{-1}``.
+
+    Trailing zero coefficients of the Leibniz determinant are trimmed and
+    the polynomial in ``w`` is handed to ``np.roots``.  Exact only when
+    the determinant's true degree shows as exactly zero coefficients.
+    """
+    coeffs = np.trim_zeros(det_polynomial_leibniz(entry_coeffs)[::-1], "f")
+    if coeffs.size <= 1:
+        return np.array([], dtype=complex)
+    return 1.0 / np.roots(coeffs)

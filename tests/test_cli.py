@@ -36,6 +36,13 @@ def test_bad_orders_exit_two(tmp_path, capsys):
     assert "--orders" in capsys.readouterr().err
 
 
+def test_zero_jobs_exits_two(tmp_path, capsys):
+    rc = main(["example", "1", "--jobs", "0"] + _common(tmp_path))
+    assert rc == 2
+    assert "job" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_model_file_exits_two(tmp_path, capsys):
     rc = main(["model", str(tmp_path / "nope.json")] + _common(tmp_path))
     assert rc == 2

@@ -168,6 +168,12 @@ def test_panel_too_short_rejected():
         fit_vma(panel, q=2)
 
 
+def test_var_needs_positive_p_max():
+    # a configuration error (CLI exit 2), not a numerical failure
+    with pytest.raises(ConfigError, match="p_max"):
+        fit_var(_white_panel(n_samples=1024, seed=4), p_max=0)
+
+
 def test_sweep_orders_scores_all_candidates():
     panel = simulate(example_model(2), 8192, seed=77)
     (p, q), scored = sweep_orders(panel, [1, 2, 3], [0, 1, 2])

@@ -57,6 +57,9 @@ def test_spec_validation():
         ExperimentSpec(example_id=1, orders=(0, 0))
     with pytest.raises(ConfigError):
         ExperimentSpec(example_id=1, orders=(-1, 2))
+    for n_jobs in (0, -4):
+        with pytest.raises(ConfigError, match="job"):
+            ExperimentSpec(example_id=1, n_jobs=n_jobs)
 
 
 def test_run_example_requires_example_id():

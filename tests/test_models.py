@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+import reference_impl as ref
 from spectralgc import (
     ConfigError,
     FrequencyGrid,
@@ -133,16 +135,52 @@ def test_ma_roots_example1_boundary_root():
     assert report.classification == "minimum-phase"
 
 
+def _root_cases():
+    """Examples 1, 2, 4 and random full-rank VAR(p)/VMA(p) models, N = 1..7, p = 1..2."""
+    models = [example_model(ex) for ex in (1, 2, 4)]
+    rng = np.random.default_rng(7)
+    for n in range(1, 8):
+        for p in (1, 2):
+            ar = rng.normal(size=(p, n, n)) / np.sqrt(n)
+            ma = rng.normal(size=(p + 1, n, n)) / np.sqrt(n)
+            models.append(VarmaModel(ar, ma, np.eye(n)))
+    cases = []
+    for model in models:
+        ar_coeffs = np.concatenate([np.eye(model.n_channels)[None], -model.ar_blocks])
+        cases.append((ar_root_report(model), ar_coeffs))
+        cases.append((ma_root_report(model), model.ma_blocks))
+    return cases
+
+
+def test_roots_match_leibniz_determinant():
+    # same count and same set as the roots of the N!-term determinant polynomial
+    for report, coeffs in _root_cases():
+        expected = ref.roots_leibniz(coeffs)
+        assert report.roots.size == expected.size
+        if expected.size:
+            dist = np.abs(report.roots[:, None] - expected[None, :])
+            rows, cols = linear_sum_assignment(dist)
+            assert np.max(dist[rows, cols] / np.maximum(1.0, np.abs(expected[cols]))) < 1e-10
+
+
+def test_rank_one_var_has_single_root():
+    # det(I - w u v^T) = 1 - w v^T u: exactly one root, at z = v^T u
+    rng = np.random.default_rng(3)
+    u, v = rng.normal(size=4), rng.normal(size=4)
+    report = ar_root_report(VarmaModel(np.outer(u, v)[None], np.eye(4)[None], np.eye(4)))
+    assert report.roots.size == 1
+    assert abs(report.roots[0] - v @ u) < 1e-12
+
+
 def test_roots_annihilate_determinant():
-    # plugging each reported root back into det A(z) gives ~0
-    model = example_model(2)
-    report = ar_root_report(model)
-    for z in report.roots:
-        w = 1.0 / z
-        A = np.eye(3, dtype=complex)
-        for r, block in enumerate(model.ar_blocks, start=1):
-            A -= block * w**r
-        assert abs(np.linalg.det(A)) < 1e-6
+    # the polynomial at w = 1/z is singular: its smallest singular value is
+    # at rounding level relative to the size of the terms summed into it
+    for report, coeffs in _root_cases():
+        for z in report.roots:
+            w = 1.0 / z
+            P = sum(c * w**k for k, c in enumerate(coeffs))
+            scale = sum(np.linalg.norm(c, 2) * abs(w) ** k for k, c in enumerate(coeffs))
+            assert np.linalg.svd(P, compute_uv=False)[-1] < 1e-10 * scale
 
 
 def test_unstable_ar_classification():

@@ -25,7 +25,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_sylvester
 
 from .errors import ConfigError, DegeneratePanelError, NumericalError
 from .models import (
@@ -66,51 +65,72 @@ def _check_panel(panel: TimeSeriesPanel) -> np.ndarray:
     return x
 
 
+def _solve_sylvester(pfh, pf, pbh, pb, c):
+    """``X`` with ``(pfh pf⁻¹) X + X (pb⁻¹ pbh) = c``; ``pfh, pf, pbh, pb`` symmetric positive definite.
+
+    ``pf = L Lᵀ``, ``L⁻¹ pfh L⁻ᵀ = Q Λ Qᵀ``, ``pb = R Rᵀ`` and ``R⁻¹ pbh R⁻ᵀ = P M Pᵀ``
+    diagonalize the coefficients as ``U Λ U⁻¹`` (``U = L Q``) and ``V M V⁻¹``
+    (``V = R⁻ᵀ P``), so ``X = U [(U⁻¹ c V)ᵢⱼ / (λᵢ + μⱼ)] V⁻¹``.  Raises
+    ``LinAlgError`` if ``pf`` or ``pb`` is not positive definite.
+    """
+    l, r = np.linalg.cholesky(pf), np.linalg.cholesky(pb)
+    li, ri = np.linalg.inv(l), np.linalg.inv(r)
+    lam, q = np.linalg.eigh(li @ pfh @ li.T)
+    mu, p = np.linalg.eigh(ri @ pbh @ ri.T)
+    y = (q.T @ li @ c @ ri.T @ p) / (lam[:, None] + mu)
+    return l @ q @ y @ p.T @ r.T
+
+
 def _lattice_stages(x: np.ndarray):
     """Nuttall-Strand stages ``(ar_blocks, residual_cov)`` for p = 0, 1, 2, ..., lazily.
 
     Each stage solves the Sylvester equation expressing the harmonic-mean
     (Nuttall-Strand) compromise between the forward and backward partial
     correlation normal equations, then updates both prediction-error
-    filters Levinson-style.  ``ef``/``eb`` hold only the ``n_samp - m``
-    samples where the order-m errors are defined, so each update is one
-    slice expression.
+    filters Levinson-style, all ``(m, N, N)`` coefficient blocks at once.
+    The order-m errors sit in one ``(2N, n_samp + 1)`` buffer, ``ef`` at
+    ``[:N, :n_samp - m]`` and ``eb`` one column later, so the next stage's
+    ``[ef[1:]; eb[:-1]]`` is one view: one Gram gives its three
+    correlations and ``[[I, -A_m], [-B_m, I]]`` writes both new errors
+    into the other buffer of a pair.
     """
     n, n_samp = x.shape
-    ef = eb = np.ascontiguousarray(x)
+    bufs = np.empty((2, 2 * n, n_samp + 1))
+    bufs[0, :n, :n_samp] = x
+    bufs[0, n:, 1:] = x
+    eye = np.eye(n)
+    update = np.eye(2 * n)  # [[I, -A_m], [-B_m, I]]
     pf = x @ x.T / n_samp
     pb = pf.copy()
-    fwd: list = []  # forward coefficient blocks of the current order
-    bwd: list = []
-    yield [], pf.copy()
+    fwd = bwd = np.zeros((0, n, n))  # coefficient blocks of the current order
+    yield fwd, pf
     m = 0
     while True:
         m += 1
-        f = ef[:, 1:]
-        b = eb[:, :-1]
-        pfh = f @ f.T
-        pbh = b @ b.T
-        pfbh = f @ b.T
+        length = n_samp - m
+        z = bufs[(m - 1) % 2, :, 1 : length + 1]
+        g = z @ z.T
         try:
-            rho = solve_sylvester(pfh @ np.linalg.inv(pf), np.linalg.inv(pb) @ pbh, 2.0 * pfbh)
+            rho = _solve_sylvester(g[:n, :n], pf, g[n:, n:], pb, 2.0 * g[:n, n:])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Nuttall-Strand stage {m} failed: {exc}") from exc
         a_m = rho @ np.linalg.inv(pb)
-        b_m = rho.conj().T @ np.linalg.inv(pf)
+        b_m = rho.T @ np.linalg.inv(pf)
         fwd, bwd = (
-            [fwd[r] - a_m @ bwd[m - 2 - r] for r in range(m - 1)] + [a_m],
-            [bwd[r] - b_m @ fwd[m - 2 - r] for r in range(m - 1)] + [b_m],
+            np.concatenate([fwd - a_m @ bwd[::-1], a_m[None]]),
+            np.concatenate([bwd - b_m @ fwd[::-1], b_m[None]]),
         )
-        pf = (np.eye(n) - a_m @ b_m) @ pf
-        pb = (np.eye(n) - b_m @ a_m) @ pb
+        pf = (eye - a_m @ b_m) @ pf
+        pb = (eye - b_m @ a_m) @ pb
         pf = 0.5 * (pf + pf.T)
         pb = 0.5 * (pb + pb.T)
-        ef, eb = f - a_m @ b, b - b_m @ f
-        del f, b  # a suspended generator must not pin the previous stage's errors
-        yield [a.copy() for a in fwd], pf.copy()
+        update[:n, n:], update[n:, :n] = -a_m, -b_m
+        np.matmul(update[:n], z, out=bufs[m % 2, :n, :length])
+        np.matmul(update[n:], z, out=bufs[m % 2, n:, 1 : length + 1])
+        yield fwd, pf  # fresh arrays, never written again
 
 
-#: lattices shared by the fits of one panel while :func:`shared_lattice` is active
+#: lattices and long-VAR residuals shared by the fits of a panel inside :func:`shared_lattice`
 _lattice_cache: ContextVar[dict | None] = ContextVar("lattice_cache", default=None)
 
 
@@ -120,8 +140,9 @@ def shared_lattice():
 
     Within the block, a fit that needs order 50 after another needed
     order 30 on the same panel data continues the same lattice from stage
-    30 instead of restarting; stages are identical either way.  Panels
-    are recognized by content.  The cache lives only until the block
+    30 instead of restarting; stages are identical either way.  The VMA
+    and VARMA fits also share the long-VAR residuals.  Panels are
+    recognized by content.  The cache lives only until the block
     exits, so nothing is retained between experiment runs, and each thread
     has its own.
     """
@@ -130,6 +151,11 @@ def shared_lattice():
         yield
     finally:
         _lattice_cache.reset(token)
+
+
+def _panel_key(x: np.ndarray) -> tuple:
+    """Cache key of a panel's contents."""
+    return (x.shape, x.dtype.str, hashlib.blake2b(np.ascontiguousarray(x).data).digest())
 
 
 def _nuttall_strand(x: np.ndarray, p_max: int) -> list:
@@ -142,7 +168,7 @@ def _nuttall_strand(x: np.ndarray, p_max: int) -> list:
     cache = _lattice_cache.get()
     if cache is None:
         return list(itertools.islice(_lattice_stages(x), p_max + 1))
-    key = (x.shape, x.dtype.str, hashlib.blake2b(np.ascontiguousarray(x).data).digest())
+    key = _panel_key(x)
     if key not in cache:
         cache[key] = (_lattice_stages(x), [])
     gen, stages = cache[key]
@@ -217,13 +243,23 @@ def fit_var(panel: TimeSeriesPanel, p_max: int = 30) -> FitReport:
 
 
 def _long_var_residuals(x: np.ndarray, long_ar_order: int):
-    """Prewhitening residuals eps(n) for n >= long_ar_order (plus the offset)."""
+    """Prewhitening residuals eps(n) for n >= long_ar_order (plus the offset).
+
+    Inside :func:`shared_lattice` they are computed once per panel and
+    order and shared by the VMA and VARMA fits, which only read them.
+    """
+    cache = _lattice_cache.get()
+    key = ("eps", long_ar_order, _panel_key(x)) if cache is not None else None
+    if key is not None and key in cache:
+        return cache[key]
     stages = _nuttall_strand(x, long_ar_order)
     ar, _ = stages[long_ar_order]
     n_samp = x.shape[1]
     eps = x[:, long_ar_order:].copy()
     for r in range(1, long_ar_order + 1):
         eps -= ar[r - 1] @ x[:, long_ar_order - r : n_samp - r]
+    if key is not None:
+        cache[key] = eps, long_ar_order
     return eps, long_ar_order
 
 

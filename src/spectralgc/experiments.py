@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -296,8 +297,10 @@ def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
     r0_tpdc, r0_tdtf, orders = {}, {}, {}
 
     args = [(model, spec, methods, vma_q, varma_pq, r) for r in range(spec.n_realizations)]
-    if spec.n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.n_jobs) as pool:
+    # clamped here, not in the spec, so the recorded config stays machine-independent
+    workers = min(spec.n_jobs, spec.n_realizations, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_worker, args))
     else:
         outputs = [_realization_fields(*a) for a in args]

@@ -297,3 +297,41 @@ def roots_leibniz(entry_coeffs):
     if coeffs.size <= 1:
         return np.array([], dtype=complex)
     return 1.0 / np.roots(coeffs)
+
+
+def nuttall_strand_blocks(x, p_max):
+    """Nuttall-Strand stages ``[(ar_blocks, residual_cov)]`` for p = 0..p_max, one block at a time.
+
+    The Levinson update runs over the coefficient blocks one matrix
+    product at a time, the three correlations are three separate Grams of
+    separately stored forward and backward errors, and the Sylvester
+    equation goes to ``scipy.linalg.solve_sylvester`` (Bartels-Stewart).
+    """
+    from scipy.linalg import solve_sylvester
+
+    n, n_samp = x.shape
+    ef = eb = np.ascontiguousarray(x)
+    pf = x @ x.T / n_samp
+    pb = pf.copy()
+    fwd, bwd = [], []
+    stages = [([], pf.copy())]
+    for m in range(1, p_max + 1):
+        f = ef[:, 1:]
+        b = eb[:, :-1]
+        pfh = f @ f.T
+        pbh = b @ b.T
+        pfbh = f @ b.T
+        rho = solve_sylvester(pfh @ np.linalg.inv(pf), np.linalg.inv(pb) @ pbh, 2.0 * pfbh)
+        a_m = rho @ np.linalg.inv(pb)
+        b_m = rho.T @ np.linalg.inv(pf)
+        fwd, bwd = (
+            [fwd[r] - a_m @ bwd[m - 2 - r] for r in range(m - 1)] + [a_m],
+            [bwd[r] - b_m @ fwd[m - 2 - r] for r in range(m - 1)] + [b_m],
+        )
+        pf = (np.eye(n) - a_m @ b_m) @ pf
+        pb = (np.eye(n) - b_m @ a_m) @ pb
+        pf = 0.5 * (pf + pf.T)
+        pb = 0.5 * (pb + pb.T)
+        ef, eb = f - a_m @ b, b - b_m @ f
+        stages.append(([a.copy() for a in fwd], pf.copy()))
+    return stages

@@ -27,6 +27,9 @@ from spectralgc import (
 from spectralgc import estimators, experiments
 from spectralgc.estimators import shared_lattice
 
+import reference_impl as ref
+from test_simulate import _random_stable_model
+
 
 def _white_panel(n_samples=16384, seed=0, n=2):
     model = VarmaModel(np.zeros((0, n, n)), np.eye(n)[None], np.eye(n))
@@ -251,7 +254,7 @@ def test_one_lattice_per_realization(monkeypatch, example_id, shared_stages, sep
 
 def test_lattice_failure_is_not_cached(monkeypatch):
     panel = simulate(example_model(2), 2048, seed=3)
-    real_solve = estimators.solve_sylvester
+    real_solve = estimators._solve_sylvester
     calls = {"n": 0}
 
     def failing_at_stage_3(*args):
@@ -260,7 +263,7 @@ def test_lattice_failure_is_not_cached(monkeypatch):
             raise np.linalg.LinAlgError("forced")
         return real_solve(*args)
 
-    monkeypatch.setattr(estimators, "solve_sylvester", failing_at_stage_3)
+    monkeypatch.setattr(estimators, "_solve_sylvester", failing_at_stage_3)
     with shared_lattice():
         with pytest.raises(NumericalError, match="stage 3"):
             fit_var(panel, p_max=10)
@@ -268,9 +271,28 @@ def test_lattice_failure_is_not_cached(monkeypatch):
         calls["n"] = 0  # a retry runs a fresh lattice and fails the same way
         with pytest.raises(NumericalError, match="stage 3"):
             fit_var(panel, p_max=10)
-        monkeypatch.setattr(estimators, "solve_sylvester", real_solve)
+        monkeypatch.setattr(estimators, "_solve_sylvester", real_solve)
         shared = fit_var(panel, p_max=10)
     _assert_same_report(shared, fit_var(panel, p_max=10))
+
+
+def test_long_var_residuals_computed_once_per_panel(monkeypatch):
+    panel = simulate(example_model(2), 2048, seed=3)
+    calls = {"n": 0}
+    original = estimators._nuttall_strand
+
+    def counting(x, p_max):
+        calls["n"] += 1
+        return original(x, p_max)
+
+    monkeypatch.setattr(estimators, "_nuttall_strand", counting)
+    with shared_lattice():
+        vma, varma = fit_vma(panel, 3), fit_varma(panel, 2, 2)
+        assert calls["n"] == 1  # the VARMA fit reuses the VMA fit's residuals
+        fit_vma(panel, 3, long_ar_order=40)
+        assert calls["n"] == 2  # another order is another entry
+    _assert_same_report(vma, fit_vma(panel, 3))
+    _assert_same_report(varma, fit_varma(panel, 2, 2))
 
 
 def test_shared_lattice_retains_nothing_after_the_block():
@@ -281,3 +303,39 @@ def test_shared_lattice_retains_nothing_after_the_block():
             assert len(estimators._lattice_cache.get()) == 1
             raise RuntimeError
     assert estimators._lattice_cache.get() is None
+
+
+# ------------------------------------------------------------ lattice internals
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_lattice_matches_per_block_reference(n):
+    """Stacked blocks, fused errors and the eigen-based Sylvester solve against the per-block recursion."""
+    rng = np.random.default_rng(100 + n)
+    p_max = 12
+    for p in (1, 3):
+        x = simulate(_random_stable_model(rng, n, p, 0), 1500, seed=p).data
+        got = estimators._nuttall_strand(x, p_max)
+        want = ref.nuttall_strand_blocks(x, p_max)
+        for m, ((ar, cov), (ar_ref, cov_ref)) in enumerate(zip(got, want)):
+            assert ar.shape == (m, n, n)
+            if m:
+                ar_ref = np.array(ar_ref)
+                assert np.max(np.abs(ar - ar_ref)) <= 1e-12 * np.max(np.abs(ar_ref)), (p, m)
+            assert np.max(np.abs(cov - cov_ref)) <= 1e-12 * np.max(np.abs(cov_ref)), (p, m)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_sylvester_solve_residual(n):
+    rng = np.random.default_rng(n)
+    pfh, pf, pbh, pb = (w @ w.T for w in rng.normal(size=(4, n, 3 * n)))
+    c = rng.normal(size=(n, n))
+    x = estimators._solve_sylvester(pfh, pf, pbh, pb, c)
+    residual = pfh @ np.linalg.inv(pf) @ x + x @ np.linalg.inv(pb) @ pbh - c
+    assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(c)
+
+
+def test_nearly_collinear_panel_is_a_numerical_failure():
+    a = np.random.default_rng(0).standard_normal(4096)
+    panel = TimeSeriesPanel(np.vstack([a, a + 1e-9 * np.random.default_rng(1).standard_normal(4096)]))
+    with pytest.raises(NumericalError, match="Nuttall-Strand stage"):
+        fit_var(panel, p_max=5)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spectralgc import (
     total_pdc,
     transfer_function,
 )
+from spectralgc import experiments
 
 
 def _spec(tmp_path, name="out", **kw):
@@ -229,3 +231,22 @@ def test_process_pool_writes_the_same_bundle(tmp_path):
     assert [(a.strip(), b.strip()) for a, b in differing if '"config_hash"' not in a] == [
         ('"n_jobs": 1,', '"n_jobs": 2,')
     ]
+
+
+def test_process_pool_is_clamped_to_the_work(tmp_path, monkeypatch):
+    requested = []
+    real_pool = experiments.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        requested.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", recording_pool)
+    fields = {}
+    for n_jobs in (1, 8):
+        summary = run_example(_spec(tmp_path, example_id=1, n_jobs=n_jobs))
+        assert summary["config"]["n_jobs"] == n_jobs  # recorded as requested
+        fields[n_jobs] = (tmp_path / "out" / "fields_r0.csv").read_bytes()
+    # two realizations never need more than two workers; one CPU runs in-process
+    assert requested == ([2] if (os.cpu_count() or 1) > 1 else [])
+    assert fields[8] == fields[1]

@@ -1,0 +1,35 @@
+"""The package itself needs numpy only; scipy is a test dependency."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = """
+import sys
+import numpy as np
+from spectralgc import (
+    FrequencyGrid, example_model, fit_var, fit_varma, fit_vma, simulate,
+    theoretical_spectrum, wilson_factorize,
+)
+panel = simulate(example_model(2), 2048, seed=0)
+fit_var(panel, p_max=5)
+fit_vma(panel, 2, long_ar_order=20)
+fit_varma(panel, 2, 2, long_ar_order=20)
+wilson_factorize(theoretical_spectrum(example_model(1), FrequencyGrid(64)))
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_fits_and_factorization_load_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -39,8 +39,6 @@ from .estimators import (
     fit_varma,
     fit_vma,
     hannan_quinn,
-    save_fit_report,
-    sweep_orders,
 )
 from .experiments import ExperimentSpec, analyze_panel, example_model, run_example, run_model
 from .models import (
@@ -108,11 +106,9 @@ __all__ = [
     "run_model",
     "sample_covariance",
     "save_field_csv",
-    "save_fit_report",
     "save_panel_csv",
     "save_spectrum_csv",
     "simulate",
-    "sweep_orders",
     "theoretical_spectrum",
     "total_dtf",
     "total_pdc",

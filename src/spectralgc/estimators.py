@@ -16,12 +16,7 @@ second-order method can identify anyway.
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import json
 import warnings
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +32,7 @@ from .models import (
 )
 from .simulate import TimeSeriesPanel
 
-__all__ = ["FitReport", "fit_var", "fit_vma", "fit_varma", "hannan_quinn", "sweep_orders", "save_fit_report"]
+__all__ = ["FitReport", "fit_var", "fit_vma", "fit_varma", "hannan_quinn"]
 
 DEFAULT_LONG_AR_ORDER = 50
 
@@ -57,12 +52,11 @@ class FitReport:
     residual_cov: np.ndarray
 
 
-def _check_panel(panel: TimeSeriesPanel) -> np.ndarray:
+def _check_panel(panel: TimeSeriesPanel) -> None:
     x = panel.data
     if np.any(np.var(x, axis=1) == 0.0):
         ch = int(np.argmin(np.var(x, axis=1))) + 1
         raise DegeneratePanelError(f"channel x{ch} has zero variance; nothing to fit")
-    return x
 
 
 def _solve_sylvester(pfh, pf, pbh, pb, c):
@@ -130,55 +124,26 @@ def _lattice_stages(x: np.ndarray):
         yield fwd, pf  # fresh arrays, never written again
 
 
-#: lattices and long-VAR residuals shared by the fits of a panel inside :func:`shared_lattice`
-_lattice_cache: ContextVar[dict | None] = ContextVar("lattice_cache", default=None)
-
-
-@contextmanager
-def shared_lattice():
-    """Share one Nuttall-Strand lattice per panel among the fits inside the block.
-
-    Within the block, a fit that needs order 50 after another needed
-    order 30 on the same panel data continues the same lattice from stage
-    30 instead of restarting; stages are identical either way.  The VMA
-    and VARMA fits also share the long-VAR residuals.  Panels are
-    recognized by content.  The cache lives only until the block
-    exits, so nothing is retained between experiment runs, and each thread
-    has its own.
-    """
-    token = _lattice_cache.set({})
-    try:
-        yield
-    finally:
-        _lattice_cache.reset(token)
-
-
-def _panel_key(x: np.ndarray) -> tuple:
-    """Cache key of a panel's contents."""
-    return (x.shape, x.dtype.str, hashlib.blake2b(np.ascontiguousarray(x).data).digest())
-
-
-def _nuttall_strand(x: np.ndarray, p_max: int) -> list:
+def _nuttall_strand(panel: TimeSeriesPanel, p_max: int) -> list:
     """Stages ``[(ar_blocks, residual_cov)]`` for p = 0..p_max (see :func:`_lattice_stages`).
 
-    Inside :func:`shared_lattice` the stages of a panel are computed once
-    and shared by every fit of that panel (VAR order sweep and long-VAR
-    prewhitening alike); outside it each call runs its own lattice.
+    The lattice generator and its stages are memoised on the panel, so
+    every fit of one panel (VAR order sweep and long-VAR prewhitening
+    alike) continues one lattice instead of restarting it; stages are
+    identical either way.  A lattice that fails is dropped from the memo,
+    so a retry fails the same way.
     """
-    cache = _lattice_cache.get()
-    if cache is None:
-        return list(itertools.islice(_lattice_stages(x), p_max + 1))
-    key = _panel_key(x)
-    if key not in cache:
-        cache[key] = (_lattice_stages(x), [])
-    gen, stages = cache[key]
-    try:
-        while len(stages) <= p_max:
-            stages.append(next(gen))
-    except NumericalError:
-        del cache[key]  # the generator is spent; a retry must fail the same way
-        raise
-    return stages[: p_max + 1]
+    with panel._lock:
+        if "lattice" not in panel._memo:
+            panel._memo["lattice"] = (_lattice_stages(panel.data), [])
+        gen, stages = panel._memo["lattice"]
+        try:
+            while len(stages) <= p_max:
+                stages.append(next(gen))
+        except BaseException:
+            del panel._memo["lattice"]  # the generator is spent
+            raise
+        return stages[: p_max + 1]
 
 
 def hannan_quinn(residual_covs, n_samples: int, n_channels: int) -> int:
@@ -227,58 +192,38 @@ def fit_var(panel: TimeSeriesPanel, p_max: int = 30) -> FitReport:
     """Nuttall-Strand VAR fit with Hannan-Quinn selection over p = 1..p_max."""
     if p_max < 1:
         raise ConfigError(f"p_max must be a positive integer, got {p_max}")
-    x = _check_panel(panel)
+    _check_panel(panel)
     n = panel.n_channels
     if panel.n_samples <= n * p_max + 1:
         raise ConfigError(
             f"need more than {n * p_max + 1} samples to sweep VAR orders up to {p_max}"
         )
-    stages = _nuttall_strand(x, p_max)
+    stages = _nuttall_strand(panel, p_max)
     candidates = [(p, stages[p][1]) for p in range(1, p_max + 1)]
     values = _hq_values(candidates, panel.n_samples, n)
     p_hat = _hq_argmin(values)
     ar, sigma = stages[p_hat]
     model = VarmaModel(np.array(ar), np.eye(n)[None], sigma)
-    return FitReport(model, (p_hat, 0), values, sigma)
+    return FitReport(model, (p_hat, 0), values, model.innovations_cov)  # no alias into the memo
 
 
-def _long_var_residuals(x: np.ndarray, long_ar_order: int):
-    """Prewhitening residuals eps(n) for n >= long_ar_order (plus the offset).
+def _long_var_residuals(panel: TimeSeriesPanel, long_ar_order: int) -> np.ndarray:
+    """Prewhitening residuals eps(n) for n >= long_ar_order.
 
-    Inside :func:`shared_lattice` they are computed once per panel and
-    order and shared by the VMA and VARMA fits, which only read them.
+    Memoised on the panel per order and shared by its VMA and VARMA fits,
+    which only read them.
     """
-    cache = _lattice_cache.get()
-    key = ("eps", long_ar_order, _panel_key(x)) if cache is not None else None
-    if key is not None and key in cache:
-        return cache[key]
-    stages = _nuttall_strand(x, long_ar_order)
-    ar, _ = stages[long_ar_order]
-    n_samp = x.shape[1]
-    eps = x[:, long_ar_order:].copy()
-    for r in range(1, long_ar_order + 1):
-        eps -= ar[r - 1] @ x[:, long_ar_order - r : n_samp - r]
-    if key is not None:
-        cache[key] = eps, long_ar_order
-    return eps, long_ar_order
-
-
-def _two_step_regression(x: np.ndarray, eps: np.ndarray, off: int, p: int, q: int):
-    """Least squares ``Y ~ C Z``: ``x(n) - eps(n)`` on lags ``x(n - 1..p)``, ``eps(n - 1..q)``.
-
-    ``eps`` starts at sample ``off``; rows run where every lag exists.
-    Returns ``(Y, Z, C)``, with the AR blocks first in ``C``.
-    """
-    n_samp = x.shape[1]
-    t0 = off + max(p, q)
-    Y = x[:, t0:] - eps[:, t0 - off :]
-    blocks = [x[:, t0 - r : n_samp - r] for r in range(1, p + 1)]
-    blocks += [eps[:, t0 - off - s : n_samp - off - s] for s in range(1, q + 1)]
-    Z = np.concatenate(blocks, axis=0)
-    ZZt = Z @ Z.T
-    if np.linalg.cond(ZZt) > 1e12:
-        raise NumericalError("regressor matrix is numerically rank deficient")
-    return Y, Z, np.linalg.solve(ZZt, Z @ Y.T).T
+    key = ("eps", long_ar_order)
+    with panel._lock:
+        if key not in panel._memo:
+            x = panel.data
+            ar, _ = _nuttall_strand(panel, long_ar_order)[long_ar_order]
+            eps = x[:, long_ar_order:].copy()
+            for r in range(1, long_ar_order + 1):
+                eps -= ar[r - 1] @ x[:, long_ar_order - r : x.shape[1] - r]
+            eps.flags.writeable = False
+            panel._memo[key] = eps
+        return panel._memo[key]
 
 
 def _ensure_minimum_phase(ma_blocks: np.ndarray, sigma: np.ndarray):
@@ -310,11 +255,26 @@ def _ensure_minimum_phase(ma_blocks: np.ndarray, sigma: np.ndarray):
     return new_ma, 0.5 * (new_sigma + new_sigma.T)
 
 
-def _fit_two_step(x: np.ndarray, p: int, q: int, long_ar_order: int) -> FitReport:
-    """Two-step VARMA(p, q) fit of a checked panel; ``p = 0`` is the VMA(q) fit."""
-    n = x.shape[0]
-    eps, off = _long_var_residuals(x, long_ar_order)
-    _, _, C = _two_step_regression(x, eps, off, p, q)
+def _fit_two_step(panel: TimeSeriesPanel, p: int, q: int, long_ar_order: int) -> FitReport:
+    """Two-step VARMA(p, q) fit of a checked panel; ``p = 0`` is the VMA(q) fit.
+
+    Least squares ``x(n) - eps(n) ~ C z(n)``, with ``z(n)`` the lags
+    ``x(n - 1..p)`` and ``eps(n - 1..q)`` (AR blocks first in ``C``), over
+    the samples where every lag exists; ``eps`` starts at ``long_ar_order``.
+    """
+    x = panel.data
+    n, n_samp = x.shape
+    eps = _long_var_residuals(panel, long_ar_order)
+    off = long_ar_order
+    t0 = off + max(p, q)
+    Y = x[:, t0:] - eps[:, t0 - off :]
+    blocks = [x[:, t0 - r : n_samp - r] for r in range(1, p + 1)]
+    blocks += [eps[:, t0 - off - s : n_samp - off - s] for s in range(1, q + 1)]
+    Z = np.concatenate(blocks, axis=0)
+    ZZt = Z @ Z.T
+    if np.linalg.cond(ZZt) > 1e12:
+        raise NumericalError("regressor matrix is numerically rank deficient")
+    C = np.linalg.solve(ZZt, Z @ Y.T).T
     ar = C[:, : p * n].reshape(n, p, n).transpose(1, 0, 2).copy()
     ma = np.concatenate(
         [np.eye(n)[None], C[:, p * n :].reshape(n, q, n).transpose(1, 0, 2)], axis=0
@@ -335,12 +295,12 @@ def fit_vma(panel: TimeSeriesPanel, q: int, long_ar_order: int = DEFAULT_LONG_AR
     """
     if q < 1:
         raise ConfigError(f"q must be a positive integer, got {q}")
-    x = _check_panel(panel)
-    if x.shape[1] < 4 * (long_ar_order + q):
+    _check_panel(panel)
+    if panel.n_samples < 4 * (long_ar_order + q):
         raise ConfigError(
             f"panel too short for long_ar_order={long_ar_order} and q={q}"
         )
-    return _fit_two_step(x, 0, q, long_ar_order)
+    return _fit_two_step(panel, 0, q, long_ar_order)
 
 
 def fit_varma(
@@ -352,66 +312,12 @@ def fit_varma(
     """
     if p < 1 or q < 0:
         raise ConfigError(f"orders must satisfy p >= 1 and q >= 0, got ({p}, {q})")
-    x = _check_panel(panel)
-    if x.shape[1] < 4 * (long_ar_order + max(p, q)):
+    _check_panel(panel)
+    if panel.n_samples < 4 * (long_ar_order + max(p, q)):
         raise ConfigError(
             f"panel too short for long_ar_order={long_ar_order} and orders ({p}, {q})"
         )
-    report = _fit_two_step(x, p, q, long_ar_order)
+    report = _fit_two_step(panel, p, q, long_ar_order)
     if ar_root_report(report.model).classification != "stable":
         warnings.warn("fitted VARMA autoregressive part is not stable", stacklevel=2)
     return report
-
-
-def sweep_orders(
-    panel: TimeSeriesPanel,
-    p_values,
-    q_values,
-    long_ar_order: int = DEFAULT_LONG_AR_ORDER,
-):
-    """Exhaustive (p, q) sweep scored by Hannan-Quinn on regression residuals.
-
-    Provided for exploratory use; experiment drivers default to the
-    generating model's orders instead.
-
-    Returns
-    -------
-    (tuple, list)
-        The winning ``(p, q)`` and all ``((p, q), criterion)`` pairs.
-    """
-    x = _check_panel(panel)
-    n, n_samp = x.shape
-    eps, off = _long_var_residuals(x, long_ar_order)
-    scored = []
-    for p in p_values:
-        for q in q_values:
-            if p < 0 or q < 0 or p + q == 0:
-                continue
-            try:
-                Y, Z, C = _two_step_regression(x, eps, off, p, q)
-            except NumericalError:
-                continue
-            resid = Y - C @ Z
-            cov = resid @ resid.T / resid.shape[1]
-            penalty = 2.0 * (p + q) * n**2 * np.log(np.log(n_samp)) / n_samp
-            sign, logdet = np.linalg.slogdet(cov)
-            if sign <= 0:
-                continue
-            scored.append(((p, q), logdet + penalty))
-    if not scored:
-        raise NumericalError("no (p, q) candidate produced a usable regression")
-    best = min(scored, key=lambda t: (t[1], t[0]))
-    return best[0], scored
-
-
-def save_fit_report(report: FitReport, path) -> None:
-    """JSON export: model in the model-file schema plus the criterion table."""
-    payload = {
-        "model": report.model.to_dict(),
-        "selected_order": list(report.selected_order),
-        "criterion_values": [[int(o), float(v)] for o, v in report.criterion_values],
-        "residual_cov": np.asarray(report.residual_cov).tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -36,7 +36,7 @@ from .connectivity import (
     total_pdc,
 )
 from .errors import ConfigError
-from .estimators import fit_var, fit_vma, fit_varma, shared_lattice
+from .estimators import fit_var, fit_vma, fit_varma
 from .models import (
     FrequencyGrid,
     VarmaModel,
@@ -196,12 +196,11 @@ def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q,
     """Simulate realization ``r`` and fit every method; returns field dicts."""
     panel = simulate(model, spec.n_samples, spec.base_seed + r)
     tpdc_fields, tdtf_fields, orders_used = {}, {}, {}
-    with shared_lattice():
-        for method in methods:
-            factor, order = _fit_method(method, panel, spec, vma_q, varma_pq)
-            tpdc_fields[method] = total_pdc(factor, method_tag=method)
-            tdtf_fields[method] = total_dtf(factor, method_tag=method)
-            orders_used[method] = order
+    for method in methods:
+        factor, order = _fit_method(method, panel, spec, vma_q, varma_pq)
+        tpdc_fields[method] = total_pdc(factor, method_tag=method)
+        tdtf_fields[method] = total_dtf(factor, method_tag=method)
+        orders_used[method] = order
     return tpdc_fields, tdtf_fields, orders_used
 
 
@@ -364,12 +363,11 @@ def analyze_panel(spec: ExperimentSpec) -> dict:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fields, orders = [], {}
-    with shared_lattice():
-        for method in methods:
-            factor, order = _fit_method(method, panel, spec, vma_q, varma_pq)
-            fields.append(total_pdc(factor, method_tag=method))
-            fields.append(total_dtf(factor, method_tag=method))
-            orders[method] = order
+    for method in methods:
+        factor, order = _fit_method(method, panel, spec, vma_q, varma_pq)
+        fields.append(total_pdc(factor, method_tag=method))
+        fields.append(total_dtf(factor, method_tag=method))
+        orders[method] = order
     save_field_csv(fields, out / "fields.csv")
     summary = {
         "config": asdict(spec),

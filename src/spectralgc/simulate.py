@@ -9,6 +9,7 @@ generated.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,17 +25,31 @@ DEFAULT_BURN_IN = 1000
 BLOCK_LEN = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimeSeriesPanel:
-    """Multichannel sample panel with optional provenance metadata."""
+    """Multichannel sample panel with optional provenance metadata.
+
+    The panel owns a read-only, C-ordered float copy of ``data``, so
+    results derived from it stay valid for the panel's lifetime: the
+    estimators memoise the Nuttall-Strand lattice and the long-VAR
+    residuals in ``_memo``, under ``_lock``, and every fit of one panel
+    shares them.  The memo dies with the panel and is not pickled.
+    """
 
     data: np.ndarray
     meta: dict = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lock: threading.RLock = field(default_factory=threading.RLock, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 2:
-            raise ConfigError(f"panel data must be 2-d (channels x samples), got {self.data.ndim}-d")
+        data = np.array(self.data, dtype=float, order="C")
+        if data.ndim != 2:
+            raise ConfigError(f"panel data must be 2-d (channels x samples), got {data.ndim}-d")
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+
+    def __reduce__(self):
+        return type(self), (self.data, self.meta)
 
     @property
     def n_channels(self) -> int:
@@ -98,7 +113,7 @@ def simulate(model: VarmaModel, n_samples: int, seed: int, burn_in: int = DEFAUL
         x = blocks.reshape(n_blocks * L, n)
 
     meta = {"seed": int(seed), "burn_in": int(burn_in), "model_hash": model.content_hash()}
-    return TimeSeriesPanel(x[burn_in:total].T.copy(), meta)
+    return TimeSeriesPanel(x[burn_in:total].T, meta)
 
 
 def _ar_block_operators(ar_blocks: np.ndarray, L: int):
@@ -165,4 +180,4 @@ def load_panel_csv(path) -> TimeSeriesPanel:
     if sidecar.exists():
         with open(sidecar) as fh:
             meta = json.load(fh)
-    return TimeSeriesPanel(rows[:, 1:].T.copy(), meta)
+    return TimeSeriesPanel(rows[:, 1:].T, meta)

@@ -1,4 +1,6 @@
-import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,13 +21,10 @@ from spectralgc import (
     hannan_quinn,
     innovation_form,
     ma_root_report,
-    save_fit_report,
     simulate,
-    sweep_orders,
     theoretical_spectrum,
 )
 from spectralgc import estimators, experiments
-from spectralgc.estimators import shared_lattice
 
 import reference_impl as ref
 from test_simulate import _random_stable_model
@@ -177,27 +176,6 @@ def test_var_needs_positive_p_max():
         fit_var(_white_panel(n_samples=1024, seed=4), p_max=0)
 
 
-def test_sweep_orders_scores_all_candidates():
-    panel = simulate(example_model(2), 8192, seed=77)
-    (p, q), scored = sweep_orders(panel, [1, 2, 3], [0, 1, 2])
-    assert len(scored) == 9
-    best = min(scored, key=lambda t: t[1])
-    assert best[0] == (p, q)
-    # an AR(1) cannot capture the resonance: it never wins the sweep
-    assert (p, q) != (1, 0)
-
-
-def test_save_fit_report(tmp_path):
-    panel = simulate(example_model(1), 4096, seed=13)
-    report = fit_vma(panel, q=1)
-    path = tmp_path / "fit.json"
-    save_fit_report(report, path)
-    payload = json.loads(path.read_text())
-    assert payload["selected_order"] == [0, 1]
-    loaded = VarmaModel.from_dict(payload["model"])
-    assert np.allclose(loaded.ma_blocks, report.model.ma_blocks)
-
-
 # ------------------------------------------------------------ shared lattice
 
 def _assert_same_report(a, b):
@@ -208,19 +186,22 @@ def _assert_same_report(a, b):
     assert np.array_equal(a.residual_cov, b.residual_cov)
 
 
+def _fresh(panel):
+    """A panel with the same data and an empty memo."""
+    return TimeSeriesPanel(panel.data)
+
+
 @pytest.mark.parametrize("order", [("var", "vma", "varma"), ("vma", "var", "varma"), ("varma", "vma", "var")])
 def test_shared_lattice_fits_are_bit_identical_to_standalone(order):
     panel = simulate(example_model(2), 4096, seed=12)
     fits = {
-        "var": lambda: fit_var(panel, p_max=30),
-        "vma": lambda: fit_vma(panel, 5),
-        "varma": lambda: fit_varma(panel, 2, 2),
+        "var": lambda pn: fit_var(pn, p_max=30),
+        "vma": lambda pn: fit_vma(pn, 5),
+        "varma": lambda pn: fit_varma(pn, 2, 2),
     }
-    standalone = {m: fits[m]() for m in order}
-    with shared_lattice():
-        shared = {m: fits[m]() for m in order}
+    shared = {m: fits[m](panel) for m in order}
     for m in order:
-        _assert_same_report(shared[m], standalone[m])
+        _assert_same_report(shared[m], fits[m](_fresh(panel)))
 
 
 def _count_stages(monkeypatch):
@@ -244,12 +225,20 @@ def test_one_lattice_per_realization(monkeypatch, example_id, shared_stages, sep
     counter = _count_stages(monkeypatch)
     experiments._realization_fields(model, spec, methods, vma_q, varma_pq, 0)
     assert counter["stages"] == shared_stages
-    assert estimators._lattice_cache.get() is None
     counter["stages"] = 0
     panel = simulate(model, spec.n_samples, spec.base_seed)
     for method in methods:
-        experiments._fit_method(method, panel, spec, vma_q, varma_pq)
+        experiments._fit_method(method, _fresh(panel), spec, vma_q, varma_pq)
     assert counter["stages"] == separate_stages
+
+
+def test_standalone_panel_shares_one_lattice(monkeypatch):
+    # no driver involved: any caller fitting one panel twice shares its lattice
+    panel = simulate(example_model(1), 1024, seed=0)
+    counter = _count_stages(monkeypatch)
+    fit_var(panel, p_max=30)
+    fit_vma(panel, q=1)
+    assert counter["stages"] == 50  # not 30 + 50
 
 
 def test_lattice_failure_is_not_cached(monkeypatch):
@@ -264,16 +253,15 @@ def test_lattice_failure_is_not_cached(monkeypatch):
         return real_solve(*args)
 
     monkeypatch.setattr(estimators, "_solve_sylvester", failing_at_stage_3)
-    with shared_lattice():
-        with pytest.raises(NumericalError, match="stage 3"):
-            fit_var(panel, p_max=10)
-        assert estimators._lattice_cache.get() == {}
-        calls["n"] = 0  # a retry runs a fresh lattice and fails the same way
-        with pytest.raises(NumericalError, match="stage 3"):
-            fit_var(panel, p_max=10)
-        monkeypatch.setattr(estimators, "_solve_sylvester", real_solve)
-        shared = fit_var(panel, p_max=10)
-    _assert_same_report(shared, fit_var(panel, p_max=10))
+    with pytest.raises(NumericalError, match="stage 3"):
+        fit_var(panel, p_max=10)
+    assert panel._memo == {}
+    calls["n"] = 0  # a retry runs a fresh lattice and fails the same way
+    with pytest.raises(NumericalError, match="stage 3"):
+        fit_var(panel, p_max=10)
+    assert panel._memo == {}
+    monkeypatch.setattr(estimators, "_solve_sylvester", real_solve)
+    _assert_same_report(fit_var(panel, p_max=10), fit_var(_fresh(panel), p_max=10))
 
 
 def test_long_var_residuals_computed_once_per_panel(monkeypatch):
@@ -281,28 +269,57 @@ def test_long_var_residuals_computed_once_per_panel(monkeypatch):
     calls = {"n": 0}
     original = estimators._nuttall_strand
 
-    def counting(x, p_max):
+    def counting(pn, p_max):
         calls["n"] += 1
-        return original(x, p_max)
+        return original(pn, p_max)
 
     monkeypatch.setattr(estimators, "_nuttall_strand", counting)
-    with shared_lattice():
-        vma, varma = fit_vma(panel, 3), fit_varma(panel, 2, 2)
-        assert calls["n"] == 1  # the VARMA fit reuses the VMA fit's residuals
-        fit_vma(panel, 3, long_ar_order=40)
-        assert calls["n"] == 2  # another order is another entry
-    _assert_same_report(vma, fit_vma(panel, 3))
-    _assert_same_report(varma, fit_varma(panel, 2, 2))
+    vma, varma = fit_vma(panel, 3), fit_varma(panel, 2, 2)
+    assert calls["n"] == 1  # the VARMA fit reuses the VMA fit's residuals
+    fit_vma(panel, 3, long_ar_order=40)
+    assert calls["n"] == 2  # another order is another entry
+    _assert_same_report(vma, fit_vma(_fresh(panel), 3))
+    _assert_same_report(varma, fit_varma(_fresh(panel), 2, 2))
 
 
-def test_shared_lattice_retains_nothing_after_the_block():
-    panel = simulate(example_model(2), 2048, seed=3)
-    with pytest.raises(RuntimeError):
-        with shared_lattice():
-            fit_var(panel, p_max=5)
-            assert len(estimators._lattice_cache.get()) == 1
-            raise RuntimeError
-    assert estimators._lattice_cache.get() is None
+def test_concurrent_fits_of_one_panel_share_one_lattice(monkeypatch):
+    # more threads than cores, a short switch interval and stages that
+    # sleep, so unlocked memo access would enter the generator twice
+    panel = simulate(example_model(2), 2048, seed=8)
+    counter = _count_stages(monkeypatch)
+    counting = estimators._lattice_stages
+
+    def slow(x):
+        for stage in counting(x):
+            time.sleep(1e-4)
+            yield stage
+
+    monkeypatch.setattr(estimators, "_lattice_stages", slow)
+    orders = [5, 30, 12, 50, 20, 40, 8, 25]
+    results, errors = [None] * len(orders), []
+
+    def fit(i):
+        try:
+            results[i] = fit_var(panel, p_max=orders[i]) if i % 2 else fit_vma(panel, 3, long_ar_order=orders[i])
+        except Exception as exc:  # reported below; a thread cannot raise into the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fit, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert counter["stages"] == max(orders)
+    for i, report in enumerate(results):
+        fresh = _fresh(panel)
+        want = fit_var(fresh, p_max=orders[i]) if i % 2 else fit_vma(fresh, 3, long_ar_order=orders[i])
+        _assert_same_report(report, want)
 
 
 # ------------------------------------------------------------ lattice internals
@@ -313,9 +330,9 @@ def test_lattice_matches_per_block_reference(n):
     rng = np.random.default_rng(100 + n)
     p_max = 12
     for p in (1, 3):
-        x = simulate(_random_stable_model(rng, n, p, 0), 1500, seed=p).data
-        got = estimators._nuttall_strand(x, p_max)
-        want = ref.nuttall_strand_blocks(x, p_max)
+        panel = simulate(_random_stable_model(rng, n, p, 0), 1500, seed=p)
+        got = estimators._nuttall_strand(panel, p_max)
+        want = ref.nuttall_strand_blocks(panel.data, p_max)
         for m, ((ar, cov), (ar_ref, cov_ref)) in enumerate(zip(got, want)):
             assert ar.shape == (m, n, n)
             if m:

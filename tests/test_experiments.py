@@ -1,5 +1,6 @@
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -250,3 +251,22 @@ def test_process_pool_is_clamped_to_the_work(tmp_path, monkeypatch):
     # two realizations never need more than two workers; one CPU runs in-process
     assert requested == ([2] if (os.cpu_count() or 1) > 1 else [])
     assert fields[8] == fields[1]
+
+
+def test_realization_retains_no_panel(monkeypatch):
+    # the panel, and with it the memoised lattice, dies when the realization returns
+    refs = []
+    real_simulate = experiments.simulate
+
+    def tracking_simulate(*args, **kwargs):
+        panel = real_simulate(*args, **kwargs)
+        refs.append(weakref.ref(panel))
+        return panel
+
+    monkeypatch.setattr(experiments, "simulate", tracking_simulate)
+    spec = ExperimentSpec(example_id=2, n_samples=1024, n_realizations=1, segment_len=128)
+    model = example_model(2)
+    methods, vma_q, varma_pq = experiments._resolve_methods_and_orders(spec, model)
+    fields = experiments._realization_fields(model, spec, methods, vma_q, varma_pq, 0)
+    assert len(refs) == 1 and refs[0]() is None
+    assert set(fields[0]) == set(methods)

@@ -6,6 +6,7 @@ import reference_impl as ref
 from spectralgc import (
     ConfigError,
     FrequencyGrid,
+    SingularFrequencyError,
     VarmaModel,
     ar_root_report,
     eval_ar_polynomial,
@@ -103,6 +104,13 @@ def test_transfer_function_identity_model():
     model = VarmaModel(np.zeros((0, 2, 2)), np.eye(2)[None], np.eye(2))
     factor = transfer_function(model, FrequencyGrid(16))
     assert np.allclose(factor.values, np.eye(2)[None], atol=1e-15)
+
+
+def test_transfer_function_rejects_singular_frequency():
+    # A(0) = I - diag(1, 0.5) = diag(0, 0.5) is exactly singular
+    model = VarmaModel(np.array([np.diag([1.0, 0.5])]), np.eye(2)[None], np.eye(2))
+    with pytest.raises(SingularFrequencyError, match=r"nu=0\.000000"):
+        transfer_function(model, FrequencyGrid(16))
 
 
 def test_ar_roots_example2():

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from spectralgc import (
     VarmaModel,
     ar_root_report,
     example_model,
+    fit_var,
     load_panel_csv,
     sample_covariance,
     save_panel_csv,
@@ -98,6 +101,33 @@ def test_panel_csv_rejects_malformed(tmp_path):
     path.write_text("a,b\n0,1\n")
     with pytest.raises(ConfigError):
         load_panel_csv(path)
+
+
+def test_panel_data_is_read_only():
+    panel = simulate(_identity_model(), 256, seed=2)
+    with pytest.raises(ValueError):
+        panel.data[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        panel.data = np.zeros((2, 256))
+    assert panel.data.flags.c_contiguous
+
+
+def test_panel_copies_its_source():
+    source = np.arange(12.0).reshape(2, 6)
+    panel = TimeSeriesPanel(source)
+    source[0, 0] = -1.0
+    assert panel.data[0, 0] == 0.0
+    assert source.flags.writeable  # the caller's array is left alone
+
+
+def test_panel_pickles_after_a_fit():
+    panel = simulate(example_model(2), 1024, seed=6)
+    report = fit_var(panel, p_max=5)
+    assert panel._memo
+    clone = pickle.loads(pickle.dumps(panel))
+    assert np.array_equal(clone.data, panel.data) and clone.meta == panel.meta
+    assert clone._memo == {} and not clone.data.flags.writeable
+    assert np.array_equal(fit_var(clone, p_max=5).model.ar_blocks, report.model.ar_blocks)
 
 
 def test_simulate_rejects_empty_request():

@@ -25,7 +25,7 @@ DEFAULT_BURN_IN = 1000
 BLOCK_LEN = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesPanel:
     """Multichannel sample panel with optional provenance metadata.
 
@@ -34,12 +34,13 @@ class TimeSeriesPanel:
     estimators memoise the Nuttall-Strand lattice and the long-VAR
     residuals in ``_memo``, under ``_lock``, and every fit of one panel
     shares them.  The memo dies with the panel and is not pickled.
+    As the owner of its memo, a panel compares and hashes by identity.
     """
 
     data: np.ndarray
     meta: dict = field(default_factory=dict)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _lock: threading.RLock = field(default_factory=threading.RLock, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _lock: threading.RLock = field(default_factory=threading.RLock, init=False, repr=False)
 
     def __post_init__(self):
         data = np.array(self.data, dtype=float, order="C")

@@ -1,7 +1,7 @@
 """Wilson's spectral matrix factorization.
 
-Given a spectral density matrix sampled on the full two-sided frequency
-grid, the fixed-point iteration
+Given the spectral density matrix of a real process, sampled on the full
+two-sided frequency grid, the fixed-point iteration
 
     psi <- psi [ psi^{-1} S psi^{-H} + I ]_+
 
@@ -12,6 +12,12 @@ zero-lag identity coefficient, ``H = psi psi_0^{-1}`` with innovation
 covariance ``sigma = psi_0 psi_0^H``, which is the unique minimum-phase
 factorization of the input.
 
+A real process has ``S(-nu) = conj S(nu)``, and every iterate has real
+lags, so ``psi(-nu) = conj psi(nu)`` as well.  The iteration therefore
+runs on the ``n_f/2 + 1`` one-sided points ``[0, 1/2]`` with real FFTs,
+and the factor is mirrored to the full grid at the end.  Input that is
+not conjugate-symmetric is rejected.
+
 Spectra whose factor has roots *on* the unit circle converge slowly; for
 those, relaxing ``tol`` to around 1e-5 keeps the iteration count sane at
 a small accuracy cost.
@@ -21,19 +27,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonConvergenceError, NonPositiveSpectrumError
+from .errors import ConfigError, NonConvergenceError, NonPositiveSpectrumError
 from .models import SpectralFactor, SpectralMatrix
 
 __all__ = ["wilson_factorize"]
 
+SYMMETRY_TOL = 1e-10
 
-def _causal_part(g: np.ndarray) -> np.ndarray:
-    """Apply [.]_+ along the frequency axis of a (F, N, N) array."""
-    F = g.shape[0]
-    lags = np.fft.ifft(g, axis=0)
+
+def _causal_part(g: np.ndarray, F: int) -> np.ndarray:
+    """Apply [.]_+ along the one-sided frequency axis of a (F/2 + 1, N, N) array."""
+    lags = np.fft.irfft(g, n=F, axis=0)
     lags[0] *= 0.5
     lags[F // 2 :] = 0.0
-    return np.fft.fft(lags, axis=0)
+    return np.fft.rfft(lags, axis=0)
+
+
+def _grid_mean(x: np.ndarray, F: int) -> np.ndarray:
+    """Mean over the full grid of a conjugate-symmetric array, from its one-sided part."""
+    return (x[0] + x[-1] + 2.0 * x[1:-1].sum(axis=0)).real / F
+
+
+def _check_conjugate_symmetric(S: np.ndarray) -> None:
+    mirror = np.roll(S[::-1], 1, axis=0)  # mirror[k] = S[-k mod F]
+    asymmetry = np.max(np.abs(S - mirror.conj()))
+    scale = np.max(np.abs(S))
+    if asymmetry > SYMMETRY_TOL * scale:
+        raise ConfigError(
+            f"input spectrum is not conjugate-symmetric (S(-nu) != conj S(nu) by {asymmetry:.3e}, "
+            f"scale {scale:.3e}), so it is not the spectrum of a real process"
+        )
 
 
 def _check_psd(S: np.ndarray) -> None:
@@ -52,7 +75,9 @@ def wilson_factorize(spectrum: SpectralMatrix, tol: float = 1e-6, max_iter: int 
     Parameters
     ----------
     spectrum : SpectralMatrix
-        Hermitian PSD matrices on the full two-sided grid.
+        The spectrum of a real process: Hermitian PSD matrices on the
+        full two-sided grid with ``S(-nu) = conj S(nu)``.  Only the
+        one-sided points ``[0, 1/2]`` enter the iteration.
     tol : float
         Stop when the maximum entrywise change of psi between iterations,
         relative to the largest entry of psi, drops below this.
@@ -62,24 +87,38 @@ def wilson_factorize(spectrum: SpectralMatrix, tol: float = 1e-6, max_iter: int 
     Returns
     -------
     SpectralFactor
-        With ``diagnostics = {"iterations": .., "final_delta": ..,
-        "residual": ..}`` where ``residual`` is the max-entry
-        reconstruction error relative to the largest entry of ``S``.
+        On the full grid, with ``diagnostics = {"iterations": ..,
+        "final_delta": .., "residual": ..}`` where ``residual`` is the
+        max-entry reconstruction error relative to the largest entry of
+        ``S``.
+
+    Raises
+    ------
+    ConfigError
+        If ``S(-nu)`` departs from ``conj S(nu)`` by more than
+        ``SYMMETRY_TOL`` times the largest entry of ``S``.
+    NonPositiveSpectrumError
+        If a one-sided point has an eigenvalue below ``-1e-6`` times that
+        largest entry.
     """
-    S = spectrum.values
+    S_full = spectrum.values
+    _check_conjugate_symmetric(S_full)
+    F, n = S_full.shape[0], S_full.shape[1]
+    h = F // 2 + 1
+    S = S_full[:h]
     _check_psd(S)
-    F, n = S.shape[0], S.shape[1]
 
     # Constant-in-frequency start: lower Cholesky of the grid-mean spectrum.
-    S_mean = 0.5 * (S.mean(axis=0) + S.mean(axis=0).conj().T)
+    S_mean = _grid_mean(S, F)
+    S_mean = 0.5 * (S_mean + S_mean.T)
     eye = np.eye(n)
-    psi = np.broadcast_to(np.linalg.cholesky(S_mean.real + 1e-14 * eye), (F, n, n)).astype(complex).copy()
+    psi = np.broadcast_to(np.linalg.cholesky(S_mean + 1e-14 * eye), (h, n, n)).astype(complex).copy()
 
     delta = np.inf
     for iteration in range(1, max_iter + 1):
         psi_inv = np.linalg.inv(psi)
         g = psi_inv @ S @ psi_inv.conj().transpose(0, 2, 1) + eye[None]
-        psi_new = psi @ _causal_part(g)
+        psi_new = psi @ _causal_part(g, F)
         delta = np.max(np.abs(psi_new - psi)) / np.max(np.abs(psi))
         psi = psi_new
         if delta < tol:
@@ -89,11 +128,12 @@ def wilson_factorize(spectrum: SpectralMatrix, tol: float = 1e-6, max_iter: int 
             f"factorization did not converge in {max_iter} iterations (last relative change {delta:.3e})"
         )
 
-    psi0 = psi.mean(axis=0).real  # zero-lag coefficient of the psi expansion
+    psi0 = _grid_mean(psi, F)  # zero-lag coefficient of the psi expansion
     H = psi @ np.linalg.inv(psi0)[None]
     sigma = psi0 @ psi0.T
 
     recon = H @ sigma @ H.conj().transpose(0, 2, 1)
     residual = float(np.max(np.abs(recon - S)) / np.max(np.abs(S)))
+    H = np.concatenate([H, H[1:-1][::-1].conj()])  # H(-nu) = conj H(nu)
     diagnostics = {"iterations": iteration, "final_delta": float(delta), "residual": residual}
     return SpectralFactor(spectrum.grid, H, sigma, diagnostics)

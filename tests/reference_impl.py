@@ -335,3 +335,41 @@ def nuttall_strand_blocks(x, p_max):
         ef, eb = f - a_m @ b, b - b_m @ f
         stages.append(([a.copy() for a in fwd], pf.copy()))
     return stages
+
+
+def wilson_two_sided(S, tol=1e-6, max_iter=500):
+    """Wilson factorization over the full two-sided grid: ``(H, sigma, iterations)``.
+
+    ``S`` is a ``(F, N, N)`` spectrum array.  Every batched inverse,
+    product and FFT runs over all ``F`` points, although for a real
+    process the points above ``F/2`` mirror those below; the factor's lag
+    0 is the real part of the grid mean.  The positive-definiteness check
+    and the error types of the package are left out.
+    """
+    F, n = S.shape[0], S.shape[1]
+
+    def causal_part(g):
+        lags = np.fft.ifft(g, axis=0)
+        lags[0] *= 0.5
+        lags[F // 2 :] = 0.0
+        return np.fft.fft(lags, axis=0)
+
+    S_mean = 0.5 * (S.mean(axis=0) + S.mean(axis=0).conj().T)
+    eye = np.eye(n)
+    psi = np.broadcast_to(np.linalg.cholesky(S_mean.real + 1e-14 * eye), (F, n, n)).astype(complex).copy()
+
+    for iteration in range(1, max_iter + 1):
+        psi_inv = np.linalg.inv(psi)
+        g = psi_inv @ S @ psi_inv.conj().transpose(0, 2, 1) + eye[None]
+        psi_new = psi @ causal_part(g)
+        delta = np.max(np.abs(psi_new - psi)) / np.max(np.abs(psi))
+        psi = psi_new
+        if delta < tol:
+            break
+    else:
+        raise RuntimeError(f"no convergence in {max_iter} iterations")
+
+    psi0 = psi.mean(axis=0).real
+    H = psi @ np.linalg.inv(psi0)[None]
+    sigma = psi0 @ psi0.T
+    return H, sigma, iteration

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_impl as ref
 from spectralgc import (
     FrequencyGrid,
     VarmaModel,
@@ -18,9 +19,11 @@ from spectralgc import (
     directed_coherence,
     gpdc,
     ma_root_report,
+    theoretical_spectrum,
     total_dtf,
     total_pdc,
     transfer_function,
+    wilson_factorize,
 )
 
 GRID = FrequencyGrid(64)
@@ -59,3 +62,21 @@ def test_diagonal_sigma_collapses_to_gpdc_and_dc(model):
     factor = transfer_function(model, GRID)
     assert np.max(np.abs(total_pdc(factor).values - gpdc(factor).values)) < 1e-12
     assert np.max(np.abs(total_dtf(factor).values - directed_coherence(factor).values)) < 1e-12
+
+
+WILSON_GRID = FrequencyGrid(1024)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(stable_varma())
+def test_wilson_recovers_the_innovation_form(model):
+    # the strategy draws innovation form, so H and sigma are the model's
+    # own; at |root| < 0.95 the lag truncation of 1024 points is ~1e-11
+    S = theoretical_spectrum(model, WILSON_GRID)
+    factor = wilson_factorize(S, tol=1e-10)
+    H = transfer_function(model, WILSON_GRID).values
+    sigma = model.innovations_cov
+    assert np.max(np.abs(factor.values - H)) <= 1e-9 * np.max(np.abs(H))
+    assert np.max(np.abs(factor.sigma - sigma)) <= 1e-9 * np.max(np.abs(sigma))
+    _, _, iterations = ref.wilson_two_sided(S.values, tol=1e-10)
+    assert factor.diagnostics["iterations"] == iterations

@@ -130,6 +130,15 @@ def test_panel_pickles_after_a_fit():
     assert np.array_equal(fit_var(clone, p_max=5).model.ar_blocks, report.model.ar_blocks)
 
 
+def test_panels_compare_and_hash_by_identity():
+    first = TimeSeriesPanel(np.zeros((2, 3)))
+    second = TimeSeriesPanel(np.zeros((2, 3)))
+    assert first != second and not first == second
+    assert first == first
+    memo = {first: "first", second: "second"}
+    assert memo[first] == "first" and memo[second] == "second"
+
+
 def test_simulate_rejects_empty_request():
     with pytest.raises(ConfigError):
         simulate(_identity_model(), 0, seed=1)

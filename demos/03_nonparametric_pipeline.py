@@ -29,7 +29,7 @@ panel = simulate(model, n_samples=16384, seed=7)
 # Stage 1: averaged cross-spectrum (von Hann window, 50% overlap)
 # ---------------------------------------------------------------------
 spectrum = welch_cross_spectrum(panel, WelchConfig(segment_len=256))
-print("cross-spectral matrix on", spectrum.grid.n_points, "frequencies")
+print("cross-spectral matrix on the", spectrum.grid.one_sided_count, "frequencies of [0, 1/2]")
 
 # ---------------------------------------------------------------------
 # Stage 2: minimum-phase factorization S = H Sigma H^H

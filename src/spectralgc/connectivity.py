@@ -19,9 +19,9 @@ correlation between innovations); total DTF likewise collapses to the
 squared directed coherence.  Off-diagonal innovation correlation makes
 both measures complex valued.
 
-Measures are reported on the closed one-sided band ``0 <= nu <= 1/2``;
-MSE scoring excludes the Nyquist endpoint so averages run over the open
-band ``[0, 1/2)``.
+Factors, and hence measures, live on the closed one-sided band
+``0 <= nu <= 1/2`` of their grid; MSE scoring excludes the Nyquist
+endpoint so averages run over the open band ``[0, 1/2)``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericalError, SingularFrequencyError
-from .models import COND_LIMIT, FrequencyGrid, SpectralFactor, SpectralMatrix
+from .models import (
+    COND_LIMIT,
+    FrequencyGrid,
+    SpectralFactor,
+    SpectralMatrix,
+    _check_leading_axis,
+    _grid_from_columns,
+)
 
 __all__ = [
     "InnovationStructure",
@@ -89,12 +96,7 @@ class ConnectivityField:
         self.values = np.asarray(self.values)
         if self.kind not in FIELD_KINDS:
             raise ConfigError(f"unknown field kind {self.kind!r}; expected one of {FIELD_KINDS}")
-        F, n1, n2 = self.values.shape
-        if F != self.grid.one_sided_count or n1 != n2:
-            raise ConfigError(
-                f"field shape {self.values.shape} does not match one-sided grid "
-                f"of {self.grid.one_sided_count} points"
-            )
+        _check_leading_axis(self.values, self.grid, "field")
         if not np.all(np.isfinite(self.values)):
             raise NumericalError(f"{self.kind} field contains non-finite values")
 
@@ -104,7 +106,7 @@ class ConnectivityField:
 
     @property
     def frequencies(self) -> np.ndarray:
-        return self.grid.one_sided_values
+        return self.grid.values
 
 
 def innovation_structure(sigma: np.ndarray) -> InnovationStructure:
@@ -124,11 +126,6 @@ def innovation_structure(sigma: np.ndarray) -> InnovationStructure:
     return InnovationStructure(D, R, Dt, Rt, R - eye, Rt - eye)
 
 
-def _one_sided_spectrum(factor: SpectralFactor) -> np.ndarray:
-    H = factor.values[: factor.grid.one_sided_count]
-    return H @ factor.sigma @ H.conj().transpose(0, 2, 1)
-
-
 def _check_positive_diag(S: np.ndarray, grid: FrequencyGrid, context: str) -> np.ndarray:
     diag = np.real(np.einsum("fii->fi", S))
     if np.any(diag <= 0.0):
@@ -141,10 +138,9 @@ def _check_positive_diag(S: np.ndarray, grid: FrequencyGrid, context: str) -> np
 
 def coherency(spectrum: SpectralMatrix, method_tag: str = "") -> ConnectivityField:
     """Complex coherency ``C_ij = S_ij / sqrt(S_ii S_jj)`` (unit diagonal)."""
-    S = spectrum.values[: spectrum.grid.one_sided_count]
-    diag = _check_positive_diag(S, spectrum.grid, "coherency")
+    diag = _check_positive_diag(spectrum.values, spectrum.grid, "coherency")
     scale = 1.0 / np.sqrt(diag)
-    C = S * scale[:, :, None] * scale[:, None, :]
+    C = spectrum.values * scale[:, :, None] * scale[:, None, :]
     return ConnectivityField(spectrum.grid, C, "coherency", method_tag)
 
 
@@ -163,13 +159,11 @@ def gamma_factor(factor: SpectralFactor) -> np.ndarray:
 
     Satisfies ``Gamma R Gamma^H = coherency`` with ``R`` the innovation
     correlation matrix.  Returned as a plain ``(F, N, N)`` array aligned
-    with ``factor.grid.one_sided_values``.
+    with ``factor.grid.values``.
     """
-    S = _one_sided_spectrum(factor)
-    diag = _check_positive_diag(S, factor.grid, "gamma_factor")
-    H = factor.values[: factor.grid.one_sided_count]
+    diag = _check_positive_diag(factor.spectrum().values, factor.grid, "gamma_factor")
     d_sqrt = np.sqrt(np.diag(factor.sigma))
-    return H * d_sqrt[None, None, :] / np.sqrt(diag)[:, :, None]
+    return factor.values * d_sqrt[None, None, :] / np.sqrt(diag)[:, :, None]
 
 
 def total_dtf(factor: SpectralFactor, method_tag: str = "") -> ConnectivityField:
@@ -197,7 +191,7 @@ def directed_coherence(factor: SpectralFactor, method_tag: str = "") -> Connecti
 
 
 def _inverse_transfer(factor: SpectralFactor) -> np.ndarray:
-    """Invert the one-sided transfer function, tolerating boundary zeros.
+    """Invert the transfer function, tolerating boundary zeros.
 
     A moving-average root on the unit circle makes ``H`` singular at one
     grid frequency; the inverse blows up there but the *normalized*
@@ -207,7 +201,7 @@ def _inverse_transfer(factor: SpectralFactor) -> np.ndarray:
     limits to near machine precision, so only an exactly-singular matrix
     is treated as an error.
     """
-    H = factor.values[: factor.grid.one_sided_count]
+    H = factor.values
     try:
         return np.linalg.inv(H)
     except np.linalg.LinAlgError as exc:
@@ -226,8 +220,7 @@ def pi_factor(factor: SpectralFactor) -> np.ndarray:
     correlation matrix — the mirror image of the Gamma/coherency
     identity.
     """
-    S = _one_sided_spectrum(factor)
-    diag = _check_positive_diag(S, factor.grid, "pi_factor")
+    diag = _check_positive_diag(factor.spectrum().values, factor.grid, "pi_factor")
     G = _inverse_transfer(factor)
     dt_sqrt = np.sqrt(np.diag(innovation_structure(factor.sigma).Dt))
     return dt_sqrt[None, :, None] * G * np.sqrt(diag)[:, None, :]
@@ -307,7 +300,7 @@ def save_field_csv(fields, path) -> None:
 
 
 def load_field_csv(path) -> list:
-    """Inverse of :func:`save_field_csv`; returns a list of fields."""
+    """Inverse of :func:`save_field_csv`; returns a list of fields (other row layouts raise)."""
     try:
         raw = np.genfromtxt(
             path, delimiter=",", skip_header=1, dtype=None, encoding="utf-8",
@@ -321,9 +314,7 @@ def load_field_csv(path) -> list:
     for kind, method in sorted(keys):
         mask = (raw["kind"] == kind) & (raw["method"] == method)
         rows = raw[mask]
-        n = int(rows["i"].max())
-        F = rows.shape[0] // (n * n)
-        values = (rows["re"] + 1j * rows["im"]).reshape(F, n, n)
-        grid = FrequencyGrid(2 * (F - 1))
+        grid, n = _grid_from_columns(rows["nu"], rows["i"], rows["j"], f"{path} ({kind}/{method})")
+        values = (rows["re"] + 1j * rows["im"]).reshape(-1, n, n)
         fields.append(ConnectivityField(grid, values, kind, method))
     return fields

@@ -248,7 +248,7 @@ def _ensure_minimum_phase(ma_blocks: np.ndarray, sigma: np.ndarray):
     # Roots near the unit circle make the fixed point contract slowly,
     # hence the generous iteration budget.
     factor = wilson_factorize(spec, tol=1e-8, max_iter=5000)
-    lags = np.fft.irfft(factor.values[: grid.one_sided_count], n=grid.n_points, axis=0)[: q + 1]
+    lags = np.fft.irfft(factor.values, n=grid.n_points, axis=0)[: q + 1]
     lag0_inv = np.linalg.inv(lags[0])
     new_ma = lags @ lag0_inv
     new_sigma = lags[0] @ factor.sigma @ lags[0].T

@@ -192,9 +192,8 @@ def _fit_method(method: str, panel: TimeSeriesPanel, spec: ExperimentSpec, vma_q
     return transfer_function(report.model, grid), report.selected_order
 
 
-def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q, varma_pq, r: int):
-    """Simulate realization ``r`` and fit every method; returns field dicts."""
-    panel = simulate(model, spec.n_samples, spec.base_seed + r)
+def _panel_fields(panel: TimeSeriesPanel, spec: ExperimentSpec, methods, vma_q, varma_pq):
+    """Fit every method to one panel; returns tPDC, tDTF and order dicts keyed by method."""
     tpdc_fields, tdtf_fields, orders_used = {}, {}, {}
     for method in methods:
         factor, order = _fit_method(method, panel, spec, vma_q, varma_pq)
@@ -204,8 +203,10 @@ def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q,
     return tpdc_fields, tdtf_fields, orders_used
 
 
-def _worker(args):
-    return _realization_fields(*args)
+def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q, varma_pq, r: int):
+    """Simulate realization ``r`` and fit every method; returns field dicts."""
+    panel = simulate(model, spec.n_samples, spec.base_seed + r)
+    return _panel_fields(panel, spec, methods, vma_q, varma_pq)
 
 
 def _reference_fields(model: VarmaModel, spec: ExperimentSpec):
@@ -244,7 +245,8 @@ def _spurious_links(reference: ConnectivityField, per_method_mean: dict):
     return entries
 
 
-def _write_bundle(spec: ExperimentSpec, model: VarmaModel, methods, results) -> dict:
+def _write_bundle(spec: ExperimentSpec, model: VarmaModel, results) -> dict:
+    methods = results["methods"]
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     refs = results["refs"]
@@ -286,6 +288,7 @@ def _write_bundle(spec: ExperimentSpec, model: VarmaModel, methods, results) -> 
 
 
 def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
+    """Run the Monte Carlo protocol on ``model`` and write its bundle; returns the summary."""
     methods, vma_q, varma_pq = _resolve_methods_and_orders(spec, model)
     if not methods:
         raise ConfigError("no methods selected")
@@ -300,7 +303,7 @@ def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
     workers = min(spec.n_jobs, spec.n_realizations, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_worker, args))
+            outputs = list(pool.map(_realization_fields, *zip(*args)))
     else:
         outputs = [_realization_fields(*a) for a in args]
 
@@ -317,7 +320,7 @@ def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
     for m in methods:
         mean_real[m] /= spec.n_realizations
 
-    return {
+    results = {
         "refs": refs,
         "mse": mse,
         "orders": orders,
@@ -327,24 +330,21 @@ def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
         "spurious_entries": _spurious_links(refs["theory"][0], mean_real),
         "methods": methods,
     }
+    return _write_bundle(spec, model, results)
 
 
 def run_example(spec: ExperimentSpec) -> dict:
     """Run the Monte Carlo protocol on a bundled example; returns the summary."""
     if spec.example_id is None:
         raise ConfigError("run_example needs spec.example_id")
-    model = example_model(spec.example_id)
-    results = _run_monte_carlo(model, spec)
-    return _write_bundle(spec, model, results["methods"], results)
+    return _run_monte_carlo(example_model(spec.example_id), spec)
 
 
 def run_model(spec: ExperimentSpec) -> dict:
     """Same protocol as :func:`run_example` for a model-file generator."""
     if spec.model_path is None:
         raise ConfigError("run_model needs spec.model_path")
-    model = VarmaModel.load_json(spec.model_path)
-    results = _run_monte_carlo(model, spec)
-    return _write_bundle(spec, model, results["methods"], results)
+    return _run_monte_carlo(VarmaModel.load_json(spec.model_path), spec)
 
 
 def analyze_panel(spec: ExperimentSpec) -> dict:
@@ -362,13 +362,8 @@ def analyze_panel(spec: ExperimentSpec) -> dict:
 
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fields, orders = [], {}
-    for method in methods:
-        factor, order = _fit_method(method, panel, spec, vma_q, varma_pq)
-        fields.append(total_pdc(factor, method_tag=method))
-        fields.append(total_dtf(factor, method_tag=method))
-        orders[method] = order
-    save_field_csv(fields, out / "fields.csv")
+    tpdc_fields, tdtf_fields, orders = _panel_fields(panel, spec, methods, vma_q, varma_pq)
+    save_field_csv([f for m in methods for f in (tpdc_fields[m], tdtf_fields[m])], out / "fields.csv")
     summary = {
         "config": asdict(spec),
         "config_hash": spec.config_hash(),

@@ -7,7 +7,8 @@ A model is
 with ``r = 1..p`` and ``s = 0..q``.  The matrix polynomials evaluated on
 the unit circle are ``A(nu) = I - sum_r A_r exp(-i 2 pi nu r)`` and
 ``B(nu) = sum_s B_s exp(-i 2 pi nu s)``, giving the transfer function
-``H = A^{-1} B`` and spectral matrix ``S = H sigma H^H``.  The roots of
+``H = A^{-1} B`` and spectral matrix ``S = H sigma H^H``, held on the
+one-sided band of a :class:`FrequencyGrid`.  The roots of
 ``det A(z)`` and ``det B(z)`` are companion-matrix eigenvalues.
 """
 
@@ -42,10 +43,13 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform two-sided frequency grid ``nu_k = k / n_points``.
+    """The closed one-sided band ``nu_k = k / n_points``, ``k = 0 .. n_points/2``.
 
-    ``n_points`` must be even so the one-sided part ends exactly at the
-    Nyquist frequency ``nu = 1/2`` (index ``n_points // 2``).
+    ``n_points`` is the FFT length and must be even, so the band ends
+    exactly at the Nyquist frequency ``nu = 1/2``.  A real process has
+    ``S(-nu) = conj S(nu)``, and so do its factors and fields, so these
+    ``n_points/2 + 1`` frequencies determine them on the whole circle and
+    are the only ones any spectral array holds.
     """
 
     n_points: int
@@ -57,26 +61,51 @@ class FrequencyGrid:
             )
 
     @property
-    def values(self) -> np.ndarray:
-        """All grid frequencies in [0, 1)."""
-        return np.arange(self.n_points) / self.n_points
-
-    @property
     def one_sided_count(self) -> int:
-        """Number of points in the closed one-sided band [0, 1/2]."""
+        """Number of points in the closed band [0, 1/2]."""
         return self.n_points // 2 + 1
 
     @property
-    def one_sided_values(self) -> np.ndarray:
-        return self.values[: self.one_sided_count]
+    def values(self) -> np.ndarray:
+        """The grid frequencies in [0, 1/2]."""
+        return np.arange(self.one_sided_count) / self.n_points
+
+
+def _check_leading_axis(values: np.ndarray, grid: FrequencyGrid, what: str) -> None:
+    F, n1, n2 = values.shape
+    if F != grid.one_sided_count or n1 != n2:
+        raise ConfigError(
+            f"{what} shape {values.shape} does not match the one-sided grid "
+            f"of {grid.one_sided_count} points"
+        )
+
+
+def _grid_columns(grid: FrequencyGrid, n: int):
+    """The ``nu, i, j`` columns of the CSV row layout (frequency-major, 1-based channels)."""
+    ij = np.arange(1, n + 1)
+    h = grid.one_sided_count
+    return np.repeat(grid.values, n * n), np.tile(np.repeat(ij, n), h), np.tile(ij, h * n)
+
+
+def _grid_from_columns(nu, i, j, source) -> tuple:
+    """``(grid, n)`` of CSV rows; ``ConfigError`` unless they follow :func:`_grid_columns`."""
+    n = max(int(np.max(i, initial=0)), 1)
+    h = len(nu) // (n * n)
+    if h < 2 or h * n * n != len(nu):
+        raise ConfigError(f"{source}: {len(nu)} rows are not F/2 + 1 >= 2 frequencies of {n}x{n} matrices")
+    grid = FrequencyGrid(2 * (h - 1))
+    want_nu, want_i, want_j = _grid_columns(grid, n)
+    if not (np.array_equal(i, want_i) and np.array_equal(j, want_j) and np.allclose(nu, want_nu, 0, 1e-12)):
+        raise ConfigError(f"{source}: the nu, i, j columns are not the one-sided grid of {grid.n_points} points")
+    return grid, n
 
 
 @dataclass
 class SpectralMatrix:
-    """Spectral density matrix sampled on a two-sided grid.
+    """Spectral density matrix sampled on the one-sided grid.
 
-    ``values`` has shape ``(grid.n_points, N, N)`` and is Hermitian at
-    every frequency.
+    ``values`` has shape ``(grid.one_sided_count, N, N)`` and is
+    Hermitian at every frequency.
     """
 
     grid: FrequencyGrid
@@ -84,12 +113,7 @@ class SpectralMatrix:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        F, n1, n2 = self.values.shape
-        if F != self.grid.n_points or n1 != n2:
-            raise ConfigError(
-                f"spectral matrix shape {self.values.shape} does not match "
-                f"grid of {self.grid.n_points} points"
-            )
+        _check_leading_axis(self.values, self.grid, "spectral matrix")
 
     @property
     def n_channels(self) -> int:
@@ -115,8 +139,8 @@ class SpectralFactor:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         self.sigma = np.asarray(self.sigma, dtype=float)
-        F, n1, n2 = self.values.shape
-        if F != self.grid.n_points or n1 != n2 or self.sigma.shape != (n1, n1):
+        _check_leading_axis(self.values, self.grid, "spectral factor")
+        if self.sigma.shape != self.values.shape[1:]:
             raise ConfigError("spectral factor shapes are inconsistent")
 
     @property
@@ -229,31 +253,30 @@ class VarmaModel:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _lag_polynomial(blocks: np.ndarray, nu) -> np.ndarray:
+    """``sum_s blocks[s] exp(-i 2 pi nu s)`` for scalar or 1-d ``nu``."""
+    nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
+    out = np.zeros((nu_arr.size,) + blocks.shape[1:], dtype=complex)
+    for s, block in enumerate(blocks):
+        out += np.exp(-2j * np.pi * nu_arr * s)[:, None, None] * block
+    return out[0] if np.ndim(nu) == 0 else out
+
+
 def eval_ar_polynomial(model: VarmaModel, nu) -> np.ndarray:
     """Evaluate ``A(nu) = I - sum_r A_r exp(-i 2 pi nu r)``.
 
     ``nu`` may be a scalar or 1-d array; returns ``(N, N)`` or ``(F, N, N)``.
     """
-    nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-    n = model.n_channels
-    out = np.broadcast_to(np.eye(n), (nu_arr.size, n, n)).astype(complex).copy()
-    for r, A_r in enumerate(model.ar_blocks, start=1):
-        out -= np.exp(-2j * np.pi * nu_arr * r)[:, None, None] * A_r
-    return out[0] if np.isscalar(nu) or np.ndim(nu) == 0 else out
+    return _lag_polynomial(np.concatenate([np.eye(model.n_channels)[None], -model.ar_blocks]), nu)
 
 
 def eval_ma_polynomial(model: VarmaModel, nu) -> np.ndarray:
     """Evaluate ``B(nu) = sum_s B_s exp(-i 2 pi nu s)`` (same shapes as above)."""
-    nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-    n = model.n_channels
-    out = np.zeros((nu_arr.size, n, n), dtype=complex)
-    for s, B_s in enumerate(model.ma_blocks):
-        out += np.exp(-2j * np.pi * nu_arr * s)[:, None, None] * B_s
-    return out[0] if np.isscalar(nu) or np.ndim(nu) == 0 else out
+    return _lag_polynomial(model.ma_blocks, nu)
 
 
 def transfer_function(model: VarmaModel, grid: FrequencyGrid) -> SpectralFactor:
-    """Transfer function ``H(nu_k) = A(nu_k)^{-1} B(nu_k)`` on a grid.
+    """Transfer function ``H(nu_k) = A(nu_k)^{-1} B(nu_k)`` on the one-sided grid.
 
     Raises
     ------
@@ -277,7 +300,7 @@ def transfer_function(model: VarmaModel, grid: FrequencyGrid) -> SpectralFactor:
 
 
 def theoretical_spectrum(model: VarmaModel, grid: FrequencyGrid) -> SpectralMatrix:
-    """Model-implied spectral matrix ``S = H sigma H^H`` on a grid."""
+    """Model-implied spectral matrix ``S = H sigma H^H`` on the one-sided grid."""
     return transfer_function(model, grid).spectrum()
 
 

@@ -1,9 +1,9 @@
 """Welch cross-spectral estimation.
 
 Averaged modified periodograms with a periodic von Hann window and 50%
-segment overlap.  The estimate is returned on the full two-sided grid of
-``segment_len`` points so it can be handed straight to the spectral
-factorization routine.
+segment overlap.  The data are real, so real FFTs give the estimate on
+the ``segment_len/2 + 1`` one-sided frequencies of ``[0, 1/2]``, the
+layout the spectral factorization routine takes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .models import FrequencyGrid, SpectralMatrix
+from .models import FrequencyGrid, SpectralMatrix, _grid_columns, _grid_from_columns
 from .simulate import TimeSeriesPanel
 
 __all__ = ["WelchConfig", "welch_cross_spectrum", "save_spectrum_csv", "load_spectrum_csv"]
@@ -22,16 +22,13 @@ __all__ = ["WelchConfig", "welch_cross_spectrum", "save_spectrum_csv", "load_spe
 
 @dataclass(frozen=True)
 class WelchConfig:
-    """Segmentation parameters for the cross-spectrum estimate."""
+    """Segmentation parameters for the cross-spectrum estimate (segments overlap by half)."""
 
     segment_len: int = 256
-    overlap_fraction: float = 0.5
 
     def __post_init__(self):
         if self.segment_len < 4 or self.segment_len % 2 != 0:
             raise ConfigError(f"segment_len must be an even integer >= 4, got {self.segment_len}")
-        if not 0.0 <= self.overlap_fraction < 1.0:
-            raise ConfigError(f"overlap_fraction must lie in [0, 1), got {self.overlap_fraction}")
 
 
 def welch_cross_spectrum(panel: TimeSeriesPanel, config: WelchConfig = WelchConfig()) -> SpectralMatrix:
@@ -44,10 +41,10 @@ def welch_cross_spectrum(panel: TimeSeriesPanel, config: WelchConfig = WelchConf
     Returns
     -------
     SpectralMatrix
-        On the two-sided grid ``FrequencyGrid(config.segment_len)``.
+        On the one-sided grid of ``FrequencyGrid(config.segment_len)``.
     """
     L = config.segment_len
-    hop = max(1, int(round(L * (1.0 - config.overlap_fraction))))
+    hop = L // 2
     if panel.n_samples < L:
         raise ConfigError(
             f"panel has {panel.n_samples} samples, shorter than one segment of {L}"
@@ -60,19 +57,16 @@ def welch_cross_spectrum(panel: TimeSeriesPanel, config: WelchConfig = WelchConf
     starts = hop * np.arange(n_seg)
     segments = np.stack([x[:, s : s + L] for s in starts])  # (n_seg, N, L)
     segments *= window  # in place: a windowed copy would sit on this step's memory peak
-    coeffs = np.fft.fft(segments, axis=-1)  # (n_seg, N, L)
+    coeffs = np.fft.rfft(segments, axis=-1)  # (n_seg, N, L/2 + 1)
 
     S = np.einsum("kif,kjf->fij", coeffs, coeffs.conj()) / (n_seg * u * L)
     return SpectralMatrix(FrequencyGrid(L), S)
 
 
 def save_spectrum_csv(spectrum: SpectralMatrix, path) -> None:
-    """Write ``nu, i, j, re, im`` rows (channel indices are 1-based)."""
+    """Write ``nu, i, j, re, im`` rows, one-sided, frequency-major, channels 1-based."""
     path = Path(path)
-    F, n = spectrum.grid.n_points, spectrum.n_channels
-    nu = np.repeat(spectrum.grid.values, n * n)
-    i = np.tile(np.repeat(np.arange(1, n + 1), n), F)
-    j = np.tile(np.arange(1, n + 1), F * n)
+    nu, i, j = _grid_columns(spectrum.grid, spectrum.n_channels)
     flat = spectrum.values.reshape(-1)
     table = np.column_stack([nu, i, j, flat.real, flat.imag])
     np.savetxt(
@@ -86,14 +80,11 @@ def save_spectrum_csv(spectrum: SpectralMatrix, path) -> None:
 
 
 def load_spectrum_csv(path) -> SpectralMatrix:
-    """Inverse of :func:`save_spectrum_csv`."""
+    """Inverse of :func:`save_spectrum_csv`; other row layouts raise ``ConfigError``."""
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=range(5))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read spectrum file {path}: {exc}") from exc
-    n = int(rows[:, 1].max())
-    F = rows.shape[0] // (n * n)
-    if F * n * n != rows.shape[0]:
-        raise ConfigError(f"{path}: row count {rows.shape[0]} is not F * {n}^2")
-    values = (rows[:, 3] + 1j * rows[:, 4]).reshape(F, n, n)
-    return SpectralMatrix(FrequencyGrid(F), values)
+    grid, n = _grid_from_columns(rows[:, 0], rows[:, 1], rows[:, 2], path)
+    values = (rows[:, 3] + 1j * rows[:, 4]).reshape(-1, n, n)
+    return SpectralMatrix(grid, values)

@@ -1,7 +1,8 @@
 """Wilson's spectral matrix factorization.
 
-Given the spectral density matrix of a real process, sampled on the full
-two-sided frequency grid, the fixed-point iteration
+Given the spectral density matrix of a real process, sampled on the
+``n_f/2 + 1`` one-sided frequencies of ``[0, 1/2]``, the fixed-point
+iteration
 
     psi <- psi [ psi^{-1} S psi^{-H} + I ]_+
 
@@ -13,10 +14,11 @@ covariance ``sigma = psi_0 psi_0^H``, which is the unique minimum-phase
 factorization of the input.
 
 A real process has ``S(-nu) = conj S(nu)``, and every iterate has real
-lags, so ``psi(-nu) = conj psi(nu)`` as well.  The iteration therefore
-runs on the ``n_f/2 + 1`` one-sided points ``[0, 1/2]`` with real FFTs,
-and the factor is mirrored to the full grid at the end.  Input that is
-not conjugate-symmetric is rejected.
+lags, so ``psi(-nu) = conj psi(nu)`` as well: the one-sided points fix
+both, and real FFTs carry the lag expansions.  On one-sided input that
+symmetry asks only that ``S(0)`` and ``S(1/2)`` be real, the part a real
+inverse FFT would otherwise drop silently; input with complex endpoints
+is rejected.
 
 Spectra whose factor has roots *on* the unit circle converge slowly; for
 those, relaxing ``tol`` to around 1e-5 keeps the iteration count sane at
@@ -48,14 +50,13 @@ def _grid_mean(x: np.ndarray, F: int) -> np.ndarray:
     return (x[0] + x[-1] + 2.0 * x[1:-1].sum(axis=0)).real / F
 
 
-def _check_conjugate_symmetric(S: np.ndarray) -> None:
-    mirror = np.roll(S[::-1], 1, axis=0)  # mirror[k] = S[-k mod F]
-    asymmetry = np.max(np.abs(S - mirror.conj()))
+def _check_real_endpoints(S: np.ndarray) -> None:
+    imaginary = np.max(np.abs(S[[0, -1]].imag))
     scale = np.max(np.abs(S))
-    if asymmetry > SYMMETRY_TOL * scale:
+    if imaginary > SYMMETRY_TOL * scale:
         raise ConfigError(
-            f"input spectrum is not conjugate-symmetric (S(-nu) != conj S(nu) by {asymmetry:.3e}, "
-            f"scale {scale:.3e}), so it is not the spectrum of a real process"
+            f"input spectrum is not conjugate-symmetric (S(0) or S(1/2) has an imaginary part "
+            f"of {imaginary:.3e}, scale {scale:.3e}), so it is not the spectrum of a real process"
         )
 
 
@@ -76,8 +77,7 @@ def wilson_factorize(spectrum: SpectralMatrix, tol: float = 1e-6, max_iter: int 
     ----------
     spectrum : SpectralMatrix
         The spectrum of a real process: Hermitian PSD matrices on the
-        full two-sided grid with ``S(-nu) = conj S(nu)``.  Only the
-        one-sided points ``[0, 1/2]`` enter the iteration.
+        one-sided grid, real at ``nu = 0`` and ``nu = 1/2``.
     tol : float
         Stop when the maximum entrywise change of psi between iterations,
         relative to the largest entry of psi, drops below this.
@@ -87,7 +87,7 @@ def wilson_factorize(spectrum: SpectralMatrix, tol: float = 1e-6, max_iter: int 
     Returns
     -------
     SpectralFactor
-        On the full grid, with ``diagnostics = {"iterations": ..,
+        On the same grid, with ``diagnostics = {"iterations": ..,
         "final_delta": .., "residual": ..}`` where ``residual`` is the
         max-entry reconstruction error relative to the largest entry of
         ``S``.
@@ -95,18 +95,16 @@ def wilson_factorize(spectrum: SpectralMatrix, tol: float = 1e-6, max_iter: int 
     Raises
     ------
     ConfigError
-        If ``S(-nu)`` departs from ``conj S(nu)`` by more than
+        If ``S(0)`` or ``S(1/2)`` has an imaginary part above
         ``SYMMETRY_TOL`` times the largest entry of ``S``.
     NonPositiveSpectrumError
-        If a one-sided point has an eigenvalue below ``-1e-6`` times that
+        If a grid point has an eigenvalue below ``-1e-6`` times that
         largest entry.
     """
-    S_full = spectrum.values
-    _check_conjugate_symmetric(S_full)
-    F, n = S_full.shape[0], S_full.shape[1]
-    h = F // 2 + 1
-    S = S_full[:h]
+    S = spectrum.values
+    _check_real_endpoints(S)
     _check_psd(S)
+    F, h, n = spectrum.grid.n_points, S.shape[0], S.shape[1]
 
     # Constant-in-frequency start: lower Cholesky of the grid-mean spectrum.
     S_mean = _grid_mean(S, F)
@@ -129,11 +127,7 @@ def wilson_factorize(spectrum: SpectralMatrix, tol: float = 1e-6, max_iter: int 
         )
 
     psi0 = _grid_mean(psi, F)  # zero-lag coefficient of the psi expansion
-    H = psi @ np.linalg.inv(psi0)[None]
-    sigma = psi0 @ psi0.T
-
-    recon = H @ sigma @ H.conj().transpose(0, 2, 1)
-    residual = float(np.max(np.abs(recon - S)) / np.max(np.abs(S)))
-    H = np.concatenate([H, H[1:-1][::-1].conj()])  # H(-nu) = conj H(nu)
-    diagnostics = {"iterations": iteration, "final_delta": float(delta), "residual": residual}
-    return SpectralFactor(spectrum.grid, H, sigma, diagnostics)
+    factor = SpectralFactor(spectrum.grid, psi @ np.linalg.inv(psi0)[None], psi0 @ psi0.T)
+    residual = float(np.max(np.abs(factor.spectrum().values - S)) / np.max(np.abs(S)))
+    factor.diagnostics = {"iterations": iteration, "final_delta": float(delta), "residual": residual}
+    return factor

@@ -337,10 +337,16 @@ def nuttall_strand_blocks(x, p_max):
     return stages
 
 
+def two_sided(x):
+    """Full ``F``-point grid of a one-sided ``(F/2 + 1, ...)`` array, by ``x(-nu) = conj x(nu)``."""
+    return np.concatenate([x, x[1:-1][::-1].conj()])
+
+
 def wilson_two_sided(S, tol=1e-6, max_iter=500):
     """Wilson factorization over the full two-sided grid: ``(H, sigma, iterations)``.
 
-    ``S`` is a ``(F, N, N)`` spectrum array.  Every batched inverse,
+    ``S`` is a ``(F, N, N)`` spectrum array on the full grid (see
+    :func:`two_sided`).  Every batched inverse,
     product and FFT runs over all ``F`` points, although for a real
     process the points above ``F/2`` mirror those below; the factor's lag
     0 is the real part of the grid mean.  The positive-definiteness check

@@ -73,7 +73,7 @@ def test_innovation_structure_rejects_singular():
 # ---------------------------------------------------------------- coherency
 
 def test_coherency_of_flat_spectrum():
-    S = SpectralMatrix(GRID, np.broadcast_to(np.eye(2), (512, 2, 2)).astype(complex))
+    S = SpectralMatrix(GRID, np.broadcast_to(np.eye(2), (GRID.one_sided_count, 2, 2)).astype(complex))
     C = coherency(S)
     assert np.allclose(C.values, np.eye(2))
 
@@ -91,7 +91,7 @@ def test_coherency_bounded_by_one():
 
 
 def test_coherency_rejects_zero_power():
-    values = np.broadcast_to(np.eye(2), (512, 2, 2)).astype(complex).copy()
+    values = np.broadcast_to(np.eye(2), (GRID.one_sided_count, 2, 2)).astype(complex).copy()
     values[3] = 0.0
     with pytest.raises(NumericalError):
         coherency(SpectralMatrix(GRID, values))
@@ -297,6 +297,26 @@ def test_field_csv_roundtrip(tmp_path):
     assert np.array_equal(by_kind["tPDC"].values, fields[0].values)
     assert np.array_equal(by_kind["tDTF"].values, fields[1].values)
     assert by_kind["tPDC"].method_tag == "theory"
+
+
+def test_field_csv_with_shuffled_rows_rejected(tmp_path):
+    # rows 1 and 2 are the (1, 2) and (2, 1) entries of the first frequency
+    path = tmp_path / "fields.csv"
+    save_field_csv(total_pdc(_factor(2), method_tag="theory"), path)
+    header, *rows = path.read_text().splitlines()
+    rows[1], rows[2] = rows[2], rows[1]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ConfigError, match="nu, i, j"):
+        load_field_csv(path)
+
+
+def test_field_csv_with_a_missing_row_rejected(tmp_path):
+    path = tmp_path / "fields.csv"
+    save_field_csv(total_pdc(_factor(2), method_tag="theory"), path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *rows[:-1]]) + "\n")
+    with pytest.raises(ConfigError, match="rows"):
+        load_field_csv(path)
 
 
 def test_field_csv_bytes_match_row_writer(tmp_path):

@@ -21,9 +21,9 @@ from spectralgc import (
 
 def test_frequency_grid_basics():
     grid = FrequencyGrid(8)
-    assert np.allclose(grid.values, np.arange(8) / 8)
+    assert np.allclose(grid.values, np.arange(5) / 8)
     assert grid.one_sided_count == 5
-    assert grid.one_sided_values[-1] == 0.5
+    assert grid.values[-1] == 0.5
 
 
 def test_frequency_grid_rejects_odd_or_tiny():

@@ -16,9 +16,13 @@ from spectralgc import (
     FrequencyGrid,
     VarmaModel,
     ar_root_report,
+    coherency,
     directed_coherence,
+    gamma_factor,
     gpdc,
+    innovation_structure,
     ma_root_report,
+    pi_factor,
     theoretical_spectrum,
     total_dtf,
     total_pdc,
@@ -64,6 +68,40 @@ def test_diagonal_sigma_collapses_to_gpdc_and_dc(model):
     assert np.max(np.abs(total_dtf(factor).values - directed_coherence(factor).values)) < 1e-12
 
 
+@PROPERTY_SETTINGS
+@given(stable_varma())
+def test_gamma_and_pi_reproduce_coherency_and_its_inverse(model):
+    # Gamma R Gamma^H = C and Pi^H Rt Pi = C^{-1} at every one-sided frequency
+    factor = transfer_function(model, GRID)
+    structure = innovation_structure(factor.sigma)
+    C = coherency(factor.spectrum()).values
+    gamma = gamma_factor(factor)
+    assert np.max(np.abs(gamma @ structure.R @ gamma.conj().transpose(0, 2, 1) - C)) < 1e-10
+    pi = pi_factor(factor)
+    K = np.linalg.inv(C)
+    lhs = pi.conj().transpose(0, 2, 1) @ structure.Rt @ pi
+    assert np.max(np.abs(lhs - K)) < 1e-10 * np.max(np.abs(K))
+
+
+def _permuted(model, perm):
+    """The same process with channel ``perm[i]`` relabelled as channel ``i``."""
+    P = np.eye(model.n_channels)[perm]
+    return VarmaModel(
+        P @ model.ar_blocks @ P.T, P @ model.ma_blocks @ P.T, P @ model.innovations_cov @ P.T
+    )
+
+
+@PROPERTY_SETTINGS
+@given(stable_varma(), st.data())
+def test_total_measures_permute_with_the_channels(model, data):
+    perm = np.array(data.draw(st.permutations(range(model.n_channels))))
+    factor = transfer_function(model, GRID)
+    permuted = transfer_function(_permuted(model, perm), GRID)
+    for measure in (total_pdc, total_dtf):
+        expected = measure(factor).values[:, perm][:, :, perm]
+        assert np.max(np.abs(measure(permuted).values - expected)) < 1e-10
+
+
 WILSON_GRID = FrequencyGrid(1024)
 
 
@@ -78,5 +116,5 @@ def test_wilson_recovers_the_innovation_form(model):
     sigma = model.innovations_cov
     assert np.max(np.abs(factor.values - H)) <= 1e-9 * np.max(np.abs(H))
     assert np.max(np.abs(factor.sigma - sigma)) <= 1e-9 * np.max(np.abs(sigma))
-    _, _, iterations = ref.wilson_two_sided(S.values, tol=1e-10)
+    _, _, iterations = ref.wilson_two_sided(ref.two_sided(S.values), tol=1e-10)
     assert factor.diagnostics["iterations"] == iterations

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_impl as ref
 from spectralgc import (
     ConfigError,
     TimeSeriesPanel,
@@ -27,7 +28,8 @@ def test_white_noise_grid_average_recovers_covariance():
     model = VarmaModel(np.zeros((0, 2, 2)), np.eye(2)[None], sigma)
     panel = simulate(model, 16384, seed=4)
     S = welch_cross_spectrum(panel)
-    avg = S.values.mean(axis=0).real
+    v = S.values.real
+    avg = (v[0] + v[-1] + 2.0 * v[1:-1].sum(axis=0)) / S.grid.n_points  # mean over the full grid
     assert np.max(np.abs(avg - sigma) / np.abs(sigma)) < 0.05
 
 
@@ -45,8 +47,10 @@ def test_example1_ma_spectrum_shape():
 def test_parseval_grid_mean_matches_variance():
     panel = simulate(example_model(2), 16384, seed=9)
     S = welch_cross_spectrum(panel)
+    F = S.grid.n_points
     for i in range(3):
-        grid_mean = S.values[:, i, i].real.mean()
+        d = S.values[:, i, i].real
+        grid_mean = (d[0] + d[-1] + 2.0 * d[1:-1].sum()) / F  # mean over the full grid
         variance = panel.data[i].var()
         assert abs(grid_mean - variance) / variance < 0.02
 
@@ -55,9 +59,8 @@ def test_estimate_is_hermitian_and_conjugate_symmetric():
     panel = simulate(example_model(2), 8192, seed=14)
     S = welch_cross_spectrum(panel).values
     assert np.max(np.abs(S - S.conj().transpose(0, 2, 1))) < 1e-12
-    # S(-nu) = conj(S(nu)) for real data
-    F = S.shape[0]
-    assert np.max(np.abs(S[1:] - S[-1:0:-1].conj())) < 1e-12
+    # S(-nu) = conj(S(nu)) for real data, so S(0) and S(1/2) are real
+    assert np.max(np.abs(S[[0, -1]].imag)) < 1e-12
 
 
 def test_positive_semidefinite_when_enough_segments():
@@ -71,8 +74,7 @@ def test_example2_peak_near_resonance():
     # the first channel resonates at nu = theta / (2 pi) = 1/6
     panel = simulate(example_model(2), 16384, seed=2)
     S = welch_cross_spectrum(panel)
-    half = S.grid.one_sided_count
-    peak_bin = int(np.argmax(S.values[:half, 0, 0].real))
+    peak_bin = int(np.argmax(S.values[:, 0, 0].real))
     expected = 256 / 6.0
     assert abs(peak_bin - expected) <= 1.0
 
@@ -103,3 +105,28 @@ def test_spectrum_csv_roundtrip(tmp_path):
     loaded = load_spectrum_csv(path)
     assert loaded.grid.n_points == S.grid.n_points
     assert np.array_equal(loaded.values, S.values)
+
+
+def test_spectrum_csv_with_shuffled_rows_rejected(tmp_path):
+    path = tmp_path / "spectrum.csv"
+    save_spectrum_csv(welch_cross_spectrum(simulate(example_model(1), 1024, seed=6)), path)
+    header, *rows = path.read_text().splitlines()
+    rows[0], rows[5] = rows[5], rows[0]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ConfigError, match="nu, i, j"):
+        load_spectrum_csv(path)
+
+
+def test_two_sided_spectrum_csv_rejected(tmp_path):
+    # the rows of an F-point two-sided grid, nu = k / F for k = 0 .. F - 1
+    S = welch_cross_spectrum(simulate(example_model(1), 1024, seed=6))
+    F, n = S.grid.n_points, S.n_channels
+    full = ref.two_sided(S.values).reshape(-1)
+    nu = np.repeat(np.arange(F) / F, n * n)
+    i = np.tile(np.repeat(np.arange(1, n + 1), n), F)
+    j = np.tile(np.arange(1, n + 1), F * n)
+    path = tmp_path / "spectrum.csv"
+    table = np.column_stack([nu, i, j, full.real, full.imag])
+    np.savetxt(path, table, delimiter=",", header="nu,i,j,re,im", comments="", fmt="%.17g")
+    with pytest.raises(ConfigError, match="one-sided grid"):
+        load_spectrum_csv(path)

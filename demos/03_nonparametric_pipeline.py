@@ -11,7 +11,6 @@ import numpy as np
 
 from spectralgc import (
     FrequencyGrid,
-    WelchConfig,
     example_model,
     innovation_form,
     mse_vs_reference,
@@ -28,7 +27,7 @@ panel = simulate(model, n_samples=16384, seed=7)
 # ---------------------------------------------------------------------
 # Stage 1: averaged cross-spectrum (von Hann window, 50% overlap)
 # ---------------------------------------------------------------------
-spectrum = welch_cross_spectrum(panel, WelchConfig(segment_len=256))
+spectrum = welch_cross_spectrum(panel, segment_len=256)
 print("cross-spectral matrix on the", spectrum.grid.one_sided_count, "frequencies of [0, 1/2]")
 
 # ---------------------------------------------------------------------

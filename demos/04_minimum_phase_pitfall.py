@@ -16,7 +16,6 @@ import numpy as np
 
 from spectralgc import (
     FrequencyGrid,
-    WelchConfig,
     example_model,
     fit_var,
     fit_vma,
@@ -48,7 +47,7 @@ estimates = {
     "var": total_pdc(transfer_function(fit_var(panel).model, grid), method_tag="var"),
     "vma": total_pdc(transfer_function(fit_vma(panel, q=2).model, grid), method_tag="vma"),
     "wn": total_pdc(
-        wilson_factorize(welch_cross_spectrum(panel, WelchConfig(segment_len=256))),
+        wilson_factorize(welch_cross_spectrum(panel, segment_len=256)),
         method_tag="wn",
     ),
 }

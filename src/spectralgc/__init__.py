@@ -56,7 +56,7 @@ from .models import (
     transfer_function,
 )
 from .simulate import TimeSeriesPanel, load_panel_csv, sample_covariance, save_panel_csv, simulate
-from .welch import WelchConfig, load_spectrum_csv, save_spectrum_csv, welch_cross_spectrum
+from .welch import load_spectrum_csv, save_spectrum_csv, welch_cross_spectrum
 from .wilson import wilson_factorize
 
 __version__ = "0.1.0"
@@ -79,7 +79,6 @@ __all__ = [
     "TimeSeriesPanel",
     "UnstableModelError",
     "VarmaModel",
-    "WelchConfig",
     "analyze_panel",
     "ar_root_report",
     "coherency",

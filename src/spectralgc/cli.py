@@ -6,6 +6,12 @@ Three subcommands::
     spectralgc model <file.json>  Monte Carlo on a user-supplied model
     spectralgc analyze <panel.csv>  fit methods to existing data
 
+All three take ``--methods``, ``--orders``, ``--seg-len`` and ``--out``;
+``example`` and ``model`` also take the Monte Carlo flags ``--ns``,
+``--realizations``, ``--seed`` and ``--jobs``, which ``analyze`` does not
+read and so rejects.  Every flag's ``dest`` is the :class:`ExperimentSpec`
+field it sets, and a flag left out keeps that field's default.
+
 Exit codes: 0 success, 2 configuration/input problems, 3 numerical
 failures.
 """
@@ -21,19 +27,37 @@ from .experiments import ExperimentSpec, analyze_panel, run_example, run_model
 __all__ = ["main", "build_parser"]
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--ns", type=int, default=16384, help="samples per realization (default 16384)")
-    sub.add_argument("--realizations", type=int, default=100, help="Monte Carlo repetitions (default 100)")
+def _add_fit_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--methods",
-        default=None,
-        help="comma-separated subset of var,vma,varma,wn (default depends on the source)",
+        "--methods", help="comma-separated subset of var,vma,varma,wn (default depends on the source)"
     )
-    sub.add_argument("--orders", default=None, help="'p,q' orders for the vma/varma fits")
-    sub.add_argument("--seg-len", type=int, default=256, help="Welch segment length (default 256)")
-    sub.add_argument("--seed", type=int, default=0, help="base seed; realization r uses seed+r")
-    sub.add_argument("--jobs", type=int, default=1, help="concurrent realizations (default 1)")
-    sub.add_argument("--out", default="results", help="output directory (default ./results)")
+    sub.add_argument("--orders", help="'p,q' orders for the vma/varma fits")
+    sub.add_argument(
+        "--seg-len", type=int, dest="segment_len",
+        help=f"Welch segment length (default {ExperimentSpec.segment_len})",
+    )
+    sub.add_argument(
+        "--out", dest="out_dir", help=f"output directory (default ./{ExperimentSpec.out_dir})"
+    )
+
+
+def _add_monte_carlo_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--ns", type=int, dest="n_samples",
+        help=f"samples per realization (default {ExperimentSpec.n_samples})",
+    )
+    sub.add_argument(
+        "--realizations", type=int, dest="n_realizations",
+        help=f"Monte Carlo repetitions (default {ExperimentSpec.n_realizations})",
+    )
+    sub.add_argument(
+        "--seed", type=int, dest="base_seed",
+        help=f"base seed; realization r uses seed+r (default {ExperimentSpec.base_seed})",
+    )
+    sub.add_argument(
+        "--jobs", type=int, dest="n_jobs",
+        help=f"concurrent realizations (default {ExperimentSpec.n_jobs})",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,31 +66,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Frequency-domain Granger connectivity benchmarks and analysis",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # flags left out stay out of the namespace, so ExperimentSpec supplies their defaults
+    quiet = {"argument_default": argparse.SUPPRESS}
 
-    p_ex = subs.add_parser("example", help="run a bundled benchmark system")
+    p_ex = subs.add_parser("example", help="run a bundled benchmark system", **quiet)
     p_ex.add_argument("example_id", type=int, help="example number (1, 2, or 4)")
-    _add_common_flags(p_ex)
+    _add_fit_flags(p_ex)
+    _add_monte_carlo_flags(p_ex)
 
-    p_model = subs.add_parser("model", help="run the Monte Carlo protocol on a model file")
+    p_model = subs.add_parser("model", help="run the Monte Carlo protocol on a model file", **quiet)
     p_model.add_argument("model_path", help="JSON model description")
-    _add_common_flags(p_model)
+    _add_fit_flags(p_model)
+    _add_monte_carlo_flags(p_model)
 
-    p_an = subs.add_parser("analyze", help="estimate connectivity for an existing panel CSV")
+    p_an = subs.add_parser(
+        "analyze", help="estimate connectivity for an existing panel CSV", **quiet
+    )
     p_an.add_argument("panel_path", help="panel CSV (header t,x1,..,xN)")
-    _add_common_flags(p_an)
+    _add_fit_flags(p_an)
 
     return parser
 
 
-def _parse_methods(raw):
-    if raw is None:
-        return ()
-    return tuple(m.strip() for m in raw.split(",") if m.strip())
-
-
 def _parse_orders(raw):
-    if raw is None:
-        return None
     try:
         p, q = (int(tok) for tok in raw.split(","))
     except ValueError as exc:
@@ -75,19 +97,12 @@ def _parse_orders(raw):
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    return ExperimentSpec(
-        example_id=getattr(args, "example_id", None),
-        model_path=getattr(args, "model_path", None),
-        panel_path=getattr(args, "panel_path", None),
-        n_samples=args.ns,
-        n_realizations=args.realizations,
-        methods=_parse_methods(args.methods),
-        orders=_parse_orders(args.orders),
-        base_seed=args.seed,
-        segment_len=args.seg_len,
-        n_jobs=args.jobs,
-        out_dir=args.out,
-    )
+    fields = {k: v for k, v in vars(args).items() if k != "command"}
+    if "methods" in fields:
+        fields["methods"] = tuple(m.strip() for m in fields["methods"].split(",") if m.strip())
+    if "orders" in fields:
+        fields["orders"] = _parse_orders(fields["orders"])
+    return ExperimentSpec(**fields)
 
 
 def main(argv=None) -> int:

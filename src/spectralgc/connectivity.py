@@ -27,7 +27,6 @@ endpoint so averages run over the open band ``[0, 1/2)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .models import (
     SpectralMatrix,
     _check_leading_axis,
     _grid_from_columns,
+    _write_grid_rows,
 )
 
 __all__ = [
@@ -109,16 +109,21 @@ class ConnectivityField:
         return self.grid.values
 
 
+def _inverse_covariance(sigma: np.ndarray) -> np.ndarray:
+    """Symmetrized ``sigma^{-1}``; ``NumericalError`` if sigma is singular or nearly so."""
+    if np.linalg.cond(sigma) > COND_LIMIT:
+        raise NumericalError("innovation covariance is singular or nearly so")
+    sigma_inv = np.linalg.inv(sigma)
+    return 0.5 * (sigma_inv + sigma_inv.T)
+
+
 def innovation_structure(sigma: np.ndarray) -> InnovationStructure:
     """Split sigma into correlation and partial-correlation structure."""
     sigma = np.asarray(sigma, dtype=float)
-    if np.linalg.cond(sigma) > COND_LIMIT:
-        raise NumericalError("innovation covariance is singular or nearly so")
+    sigma_inv = _inverse_covariance(sigma)
     D = np.diag(np.diag(sigma))
     d_isqrt = 1.0 / np.sqrt(np.diag(sigma))
     R = sigma * np.outer(d_isqrt, d_isqrt)
-    sigma_inv = np.linalg.inv(sigma)
-    sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
     Dt = np.diag(np.diag(sigma_inv))
     dt_isqrt = 1.0 / np.sqrt(np.diag(sigma_inv))
     Rt = sigma_inv * np.outer(dt_isqrt, dt_isqrt)
@@ -235,9 +240,7 @@ def total_pdc(factor: SpectralFactor, method_tag: str = "") -> ConnectivityField
     diagonal and is complex valued otherwise.
     """
     G = _inverse_transfer(factor)
-    sigma_inv = np.linalg.inv(factor.sigma)
-    sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
-    weighted = sigma_inv @ G
+    weighted = _inverse_covariance(factor.sigma) @ G
     # (S^{-1})_jj = (G^H sigma^{-1} G)_jj, the column normalizer
     den = np.real(np.einsum("fij,fij->fj", np.conj(G), weighted))
     values = np.conj(G) * weighted / den[:, None, :]
@@ -280,23 +283,10 @@ def save_field_csv(fields, path) -> None:
     """
     if isinstance(fields, ConnectivityField):
         fields = [fields]
-    path = Path(path)
     with open(path, "w") as fh:
         fh.write("nu,i,j,re,im,kind,method\n")
         for f in fields:
-            n = f.n_channels
-            suffix = f",{f.kind},{f.method_tag}\n".replace("%", "%%")
-            # one frequency's n*n rows as a single format, fed (nu, re, im) per row;
-            # each nu is formatted once and repeated as a string
-            block = "".join(
-                f"%s,{i + 1},{j + 1},%.17g,%.17g{suffix}" for i in range(n) for j in range(n)
-            )
-            nu = ["%.17g" % v for v in np.asarray(f.frequencies, dtype=float).tolist()]
-            cols = np.empty(f.values.shape + (3,), dtype=object)
-            cols[..., 0] = np.array(nu, dtype=object)[:, None, None]
-            cols[..., 1] = f.values.real
-            cols[..., 2] = f.values.imag
-            fh.write((block * len(nu)) % tuple(cols.ravel().tolist()))
+            _write_grid_rows(fh, f.grid, f.values, f",{f.kind},{f.method_tag}")
 
 
 def load_field_csv(path) -> list:

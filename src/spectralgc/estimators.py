@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DegeneratePanelError, NumericalError
 from .models import (
+    COND_LIMIT,
     FrequencyGrid,
     SpectralMatrix,
     VarmaModel,
@@ -49,7 +50,6 @@ class FitReport:
     model: VarmaModel
     selected_order: tuple
     criterion_values: list
-    residual_cov: np.ndarray
 
 
 def _check_panel(panel: TimeSeriesPanel) -> None:
@@ -204,7 +204,7 @@ def fit_var(panel: TimeSeriesPanel, p_max: int = 30) -> FitReport:
     p_hat = _hq_argmin(values)
     ar, sigma = stages[p_hat]
     model = VarmaModel(np.array(ar), np.eye(n)[None], sigma)
-    return FitReport(model, (p_hat, 0), values, model.innovations_cov)  # no alias into the memo
+    return FitReport(model, (p_hat, 0), values)
 
 
 def _long_var_residuals(panel: TimeSeriesPanel, long_ar_order: int) -> np.ndarray:
@@ -272,7 +272,7 @@ def _fit_two_step(panel: TimeSeriesPanel, p: int, q: int, long_ar_order: int) ->
     blocks += [eps[:, t0 - off - s : n_samp - off - s] for s in range(1, q + 1)]
     Z = np.concatenate(blocks, axis=0)
     ZZt = Z @ Z.T
-    if np.linalg.cond(ZZt) > 1e12:
+    if np.linalg.cond(ZZt) > COND_LIMIT:
         raise NumericalError("regressor matrix is numerically rank deficient")
     C = np.linalg.solve(ZZt, Z @ Y.T).T
     ar = C[:, : p * n].reshape(n, p, n).transpose(1, 0, 2).copy()
@@ -282,7 +282,7 @@ def _fit_two_step(panel: TimeSeriesPanel, p: int, q: int, long_ar_order: int) ->
     sigma = eps @ eps.T / eps.shape[1]
     ma, sigma = _ensure_minimum_phase(ma, 0.5 * (sigma + sigma.T))
     model = VarmaModel(ar, ma, sigma)
-    return FitReport(model, (p, q), [], model.innovations_cov)
+    return FitReport(model, (p, q), [])
 
 
 def fit_vma(panel: TimeSeriesPanel, q: int, long_ar_order: int = DEFAULT_LONG_AR_ORDER) -> FitReport:

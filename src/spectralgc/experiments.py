@@ -14,7 +14,12 @@ generating model (reduced to innovation form, so references and
 estimates share the zero-lag normalization).  Parametric estimates are
 evaluated on a fixed 512-point grid; the nonparametric (Welch + Wilson,
 method tag ``wn``) estimate lives on its segment-length grid, with the
-reference evaluated there for scoring.
+reference evaluated there for scoring.  Total DTF is computed only for
+the fields that are written: realization 0 and the analyzed panel.
+
+Every source gets its default methods and orders from one rule (see
+:func:`_resolve_methods_and_orders`); a data panel has no generator and
+counts as p = q = 0.
 """
 
 from __future__ import annotations
@@ -45,24 +50,19 @@ from .models import (
     transfer_function,
 )
 from .simulate import TimeSeriesPanel, load_panel_csv, simulate
-from .welch import WelchConfig, welch_cross_spectrum
+from .welch import welch_cross_spectrum
 from .wilson import wilson_factorize
 
 __all__ = ["ExperimentSpec", "example_model", "run_example", "run_model", "analyze_panel"]
 
 KNOWN_METHODS = ("var", "vma", "varma", "wn")
 PARAMETRIC_GRID_POINTS = 512
-DEFAULT_P_MAX = 30
 
-#: per-example defaults: selected methods and MA order for the VMA fit.
+#: bundled examples whose default VMA order is not their MA order.
 #: The second system carries an ARMA resonance whose pure-MA approximant
 #: needs a long lag window; order 20 keeps the truncation bias of that
 #: approximant below the sampling noise at the benchmark sample sizes.
-EXAMPLE_DEFAULTS = {
-    1: {"methods": ("var", "vma", "wn"), "vma_q": 1, "varma": None},
-    2: {"methods": ("var", "vma", "varma", "wn"), "vma_q": 20, "varma": (2, 2)},
-    4: {"methods": ("var", "vma", "wn"), "vma_q": 2, "varma": None},
-}
+EXAMPLE_VMA_Q = {2: 20}
 
 
 @dataclass
@@ -78,7 +78,6 @@ class ExperimentSpec:
     orders: tuple | None = None
     base_seed: int = 0
     segment_len: int = 256
-    p_max: int = DEFAULT_P_MAX
     n_jobs: int = 1
     out_dir: str = "results"
 
@@ -141,31 +140,23 @@ def example_model(example_id: int) -> VarmaModel:
     raise ConfigError(f"unknown example {example_id}; available examples: 1, 2, 4")
 
 
-def _resolve_methods_and_orders(spec: ExperimentSpec, model: VarmaModel):
-    """Fill in per-source defaults and check method/order compatibility."""
-    defaults = EXAMPLE_DEFAULTS.get(spec.example_id)
-    if defaults is not None:
-        methods = spec.methods or defaults["methods"]
-        vma_q = defaults["vma_q"]
-        varma_pq = defaults["varma"]
-    else:
-        vma_q = model.ma_order if model.ma_order >= 1 else None
-        varma_pq = (model.ar_order, model.ma_order) if model.ar_order >= 1 and model.ma_order >= 1 else None
-        methods = spec.methods
-        if not methods:
-            methods = ["var"]
-            if vma_q:
-                methods.append("vma")
-            if varma_pq:
-                methods.append("varma")
-            methods = tuple(methods + ["wn"])
-    return _apply_orders(methods, vma_q, varma_pq, spec.orders)
+def _resolve_methods_and_orders(spec: ExperimentSpec, model: VarmaModel | None):
+    """``(methods, vma_q, varma_pq)`` for a generator, or a panel (``model=None``).
 
-
-def _apply_orders(methods, vma_q, varma_pq, orders):
-    """Override ``(vma_q, varma_pq)`` by explicit orders and check vma/varma can run."""
-    if orders is not None:
-        p, q = orders
+    With ``(p, q)`` the generator's orders (``0, 0`` for a panel) the
+    defaults are ``var``, then ``vma`` if q >= 1, then ``varma`` if p, q >= 1,
+    then ``wn``; ``vma_q = q`` (or :data:`EXAMPLE_VMA_Q`) and ``varma_pq = (p, q)``.
+    Explicit ``spec.methods`` replace the methods and ``spec.orders`` both
+    orders; ``vma``/``varma`` without a positive order raise ``ConfigError``.
+    """
+    p, q = (model.ar_order, model.ma_order) if model is not None else (0, 0)
+    vma_q = EXAMPLE_VMA_Q.get(spec.example_id, q) if q >= 1 else None
+    varma_pq = (p, q) if p >= 1 and q >= 1 else None
+    methods = spec.methods or (
+        ("var",) + ("vma",) * bool(vma_q) + ("varma",) * bool(varma_pq) + ("wn",)
+    )
+    if spec.orders is not None:
+        p, q = spec.orders
         vma_q = q if q >= 1 else None
         varma_pq = (p, q) if p >= 1 else None
     if "vma" in methods and not vma_q:
@@ -178,13 +169,13 @@ def _apply_orders(methods, vma_q, varma_pq, orders):
 def _fit_method(method: str, panel: TimeSeriesPanel, spec: ExperimentSpec, vma_q, varma_pq):
     """Run one estimator; returns (factor, (p, q) actually used)."""
     if method == "var":
-        report = fit_var(panel, p_max=spec.p_max)
+        report = fit_var(panel)
     elif method == "vma":
         report = fit_vma(panel, vma_q)
     elif method == "varma":
         report = fit_varma(panel, varma_pq[0], varma_pq[1])
     elif method == "wn":
-        spectrum = welch_cross_spectrum(panel, WelchConfig(segment_len=spec.segment_len))
+        spectrum = welch_cross_spectrum(panel, segment_len=spec.segment_len)
         return wilson_factorize(spectrum), None
     else:  # pragma: no cover - guarded upstream
         raise ConfigError(f"unknown method {method!r}")
@@ -192,21 +183,27 @@ def _fit_method(method: str, panel: TimeSeriesPanel, spec: ExperimentSpec, vma_q
     return transfer_function(report.model, grid), report.selected_order
 
 
-def _panel_fields(panel: TimeSeriesPanel, spec: ExperimentSpec, methods, vma_q, varma_pq):
-    """Fit every method to one panel; returns tPDC, tDTF and order dicts keyed by method."""
+def _panel_fields(
+    panel: TimeSeriesPanel, spec: ExperimentSpec, methods, vma_q, varma_pq, with_dtf: bool
+):
+    """Fit every method to one panel; returns tPDC, tDTF and order dicts keyed by method.
+
+    The tDTF dict stays empty unless ``with_dtf``: only written fields need it.
+    """
     tpdc_fields, tdtf_fields, orders_used = {}, {}, {}
     for method in methods:
         factor, order = _fit_method(method, panel, spec, vma_q, varma_pq)
         tpdc_fields[method] = total_pdc(factor, method_tag=method)
-        tdtf_fields[method] = total_dtf(factor, method_tag=method)
+        if with_dtf:
+            tdtf_fields[method] = total_dtf(factor, method_tag=method)
         orders_used[method] = order
     return tpdc_fields, tdtf_fields, orders_used
 
 
 def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q, varma_pq, r: int):
-    """Simulate realization ``r`` and fit every method; returns field dicts."""
+    """Simulate realization ``r`` and fit every method; returns field dicts, tDTF for r = 0 only."""
     panel = simulate(model, spec.n_samples, spec.base_seed + r)
-    return _panel_fields(panel, spec, methods, vma_q, varma_pq)
+    return _panel_fields(panel, spec, methods, vma_q, varma_pq, with_dtf=r == 0)
 
 
 def _reference_fields(model: VarmaModel, spec: ExperimentSpec):
@@ -245,24 +242,25 @@ def _spurious_links(reference: ConnectivityField, per_method_mean: dict):
     return entries
 
 
-def _write_bundle(spec: ExperimentSpec, model: VarmaModel, results) -> dict:
-    methods = results["methods"]
+def _write_bundle(
+    spec: ExperimentSpec, model: VarmaModel, methods, refs, mse, r0_fields, spurious_entries
+) -> dict:
+    """Write ``summary.json``, the MSE tables and ``fields_r0.csv``; returns the summary."""
+    r0_tpdc, r0_tdtf, orders = r0_fields
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    refs = results["refs"]
-    mse = results["mse"]
     summary = {
         "config": asdict(spec),
         "config_hash": spec.config_hash(),
         "model_hash": model.content_hash(),
         "seeds": [spec.base_seed + r for r in range(spec.n_realizations)],
         "methods": list(methods),
-        "selected_orders": {m: list(o) if o else None for m, o in results["orders"].items()},
+        "selected_orders": {m: list(o) if o else None for m, o in orders.items()},
         "mse": {m: float(np.mean(v)) for m, v in mse.items()},
         "mse_per_realization": {m: [float(x) for x in v] for m, v in mse.items()},
-        "nonminimum_phase_generator": results["nonminimum_phase"],
-        "spurious_link_detected": bool(results["spurious_entries"]),
-        "spurious_entries": results["spurious_entries"],
+        "nonminimum_phase_generator": ma_root_report(model).classification == "nonminimum-phase",
+        "spurious_link_detected": bool(spurious_entries),
+        "spurious_entries": spurious_entries,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -281,8 +279,8 @@ def _write_bundle(spec: ExperimentSpec, model: VarmaModel, results) -> dict:
     for tag in ("theory", "theory-wn"):
         fields.extend(refs[tag])
     for m in methods:
-        fields.append(results["r0_tpdc"][m])
-        fields.append(results["r0_tdtf"][m])
+        fields.append(r0_tpdc[m])
+        fields.append(r0_tdtf[m])
     save_field_csv(fields, out / "fields_r0.csv")
     return summary
 
@@ -290,13 +288,10 @@ def _write_bundle(spec: ExperimentSpec, model: VarmaModel, results) -> dict:
 def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
     """Run the Monte Carlo protocol on ``model`` and write its bundle; returns the summary."""
     methods, vma_q, varma_pq = _resolve_methods_and_orders(spec, model)
-    if not methods:
-        raise ConfigError("no methods selected")
     refs = _reference_fields(model, spec)
 
     mse = {m: [] for m in methods}
     mean_real = {m: None for m in methods}
-    r0_tpdc, r0_tdtf, orders = {}, {}, {}
 
     args = [(model, spec, methods, vma_q, varma_pq, r) for r in range(spec.n_realizations)]
     # clamped here, not in the spec, so the recorded config stays machine-independent
@@ -307,30 +302,19 @@ def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
     else:
         outputs = [_realization_fields(*a) for a in args]
 
-    for r, (tpdc_fields, tdtf_fields, orders_used) in enumerate(outputs):
+    for tpdc_fields, _, _ in outputs:
         for m in methods:
             est = tpdc_fields[m]
             ref = refs["theory-wn"][0] if m == "wn" else refs["theory"][0]
             mse[m].append(mse_vs_reference(est, ref))
             band = est.values[:-1].real.mean(axis=0)
             mean_real[m] = band if mean_real[m] is None else mean_real[m] + band
-        if r == 0:
-            r0_tpdc, r0_tdtf, orders = tpdc_fields, tdtf_fields, orders_used
 
     for m in methods:
         mean_real[m] /= spec.n_realizations
 
-    results = {
-        "refs": refs,
-        "mse": mse,
-        "orders": orders,
-        "r0_tpdc": r0_tpdc,
-        "r0_tdtf": r0_tdtf,
-        "nonminimum_phase": ma_root_report(model).classification == "nonminimum-phase",
-        "spurious_entries": _spurious_links(refs["theory"][0], mean_real),
-        "methods": methods,
-    }
-    return _write_bundle(spec, model, results)
+    spurious_entries = _spurious_links(refs["theory"][0], mean_real)
+    return _write_bundle(spec, model, methods, refs, mse, outputs[0], spurious_entries)
 
 
 def run_example(spec: ExperimentSpec) -> dict:
@@ -351,18 +335,21 @@ def analyze_panel(spec: ExperimentSpec) -> dict:
     """Fit the selected methods to an existing panel CSV and export fields.
 
     There is no generating model, hence no reference and no MSE column;
-    ``vma``/``varma`` must be given explicit orders.
+    ``vma``/``varma`` must be given explicit orders.  Of the spec it reads
+    ``panel_path``, ``methods``, ``orders``, ``segment_len`` and ``out_dir``.
     """
     if spec.panel_path is None:
         raise ConfigError("analyze_panel needs spec.panel_path")
     panel = load_panel_csv(spec.panel_path)
     if panel.n_channels < 2:
         raise ConfigError("need at least 2 channels for connectivity analysis")
-    methods, vma_q, varma_pq = _apply_orders(spec.methods or ("var", "wn"), None, None, spec.orders)
+    methods, vma_q, varma_pq = _resolve_methods_and_orders(spec, None)
 
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tpdc_fields, tdtf_fields, orders = _panel_fields(panel, spec, methods, vma_q, varma_pq)
+    tpdc_fields, tdtf_fields, orders = _panel_fields(
+        panel, spec, methods, vma_q, varma_pq, with_dtf=True
+    )
     save_field_csv([f for m in methods for f in (tpdc_fields[m], tdtf_fields[m])], out / "fields.csv")
     summary = {
         "config": asdict(spec),

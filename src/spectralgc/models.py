@@ -37,7 +37,7 @@ __all__ = [
     "innovation_form",
 ]
 
-#: 1-norm condition-number threshold above which per-frequency solves are refused
+#: condition number above which a matrix is treated as singular and not solved with
 COND_LIMIT = 1e12
 
 
@@ -85,6 +85,25 @@ def _grid_columns(grid: FrequencyGrid, n: int):
     ij = np.arange(1, n + 1)
     h = grid.one_sided_count
     return np.repeat(grid.values, n * n), np.tile(np.repeat(ij, n), h), np.tile(ij, h * n)
+
+
+def _write_grid_rows(fh, grid: FrequencyGrid, values: np.ndarray, suffix: str = "") -> None:
+    """Write ``values`` as ``nu,i,j,re,im`` rows in :func:`_grid_columns` order.
+
+    Each row ends in ``suffix``.  Numbers are written with ``%.17g``, so
+    they read back exactly.
+    """
+    n = values.shape[1]
+    tail = suffix.replace("%", "%%") + "\n"
+    # one frequency's n*n rows as a single format, fed (nu, re, im) per row;
+    # each nu is formatted once and repeated as a string
+    block = "".join(f"%s,{i + 1},{j + 1},%.17g,%.17g{tail}" for i in range(n) for j in range(n))
+    nu = ["%.17g" % v for v in grid.values.tolist()]
+    cols = np.empty(values.shape + (3,), dtype=object)
+    cols[..., 0] = np.array(nu, dtype=object)[:, None, None]
+    cols[..., 1] = values.real
+    cols[..., 2] = values.imag
+    fh.write((block * len(nu)) % tuple(cols.ravel().tolist()))
 
 
 def _grid_from_columns(nu, i, j, source) -> tuple:

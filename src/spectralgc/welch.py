@@ -8,32 +8,19 @@ layout the spectral factorization routine takes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
 from .errors import ConfigError
-from .models import FrequencyGrid, SpectralMatrix, _grid_columns, _grid_from_columns
+from .models import FrequencyGrid, SpectralMatrix, _grid_from_columns, _write_grid_rows
 from .simulate import TimeSeriesPanel
 
-__all__ = ["WelchConfig", "welch_cross_spectrum", "save_spectrum_csv", "load_spectrum_csv"]
+__all__ = ["welch_cross_spectrum", "save_spectrum_csv", "load_spectrum_csv"]
 
 
-@dataclass(frozen=True)
-class WelchConfig:
-    """Segmentation parameters for the cross-spectrum estimate (segments overlap by half)."""
-
-    segment_len: int = 256
-
-    def __post_init__(self):
-        if self.segment_len < 4 or self.segment_len % 2 != 0:
-            raise ConfigError(f"segment_len must be an even integer >= 4, got {self.segment_len}")
-
-
-def welch_cross_spectrum(panel: TimeSeriesPanel, config: WelchConfig = WelchConfig()) -> SpectralMatrix:
+def welch_cross_spectrum(panel: TimeSeriesPanel, segment_len: int = 256) -> SpectralMatrix:
     """Estimate the spectral density matrix of ``panel``.
 
+    Segments of ``segment_len`` samples (even, >= 4) overlap by half.
     Each channel is demeaned globally, segments shorter than
     ``segment_len`` are dropped, and the window power is normalized out,
     so for white noise the diagonal averages to the innovation variance.
@@ -41,9 +28,11 @@ def welch_cross_spectrum(panel: TimeSeriesPanel, config: WelchConfig = WelchConf
     Returns
     -------
     SpectralMatrix
-        On the one-sided grid of ``FrequencyGrid(config.segment_len)``.
+        On the one-sided grid of ``FrequencyGrid(segment_len)``.
     """
-    L = config.segment_len
+    L = segment_len
+    if L < 4 or L % 2 != 0:
+        raise ConfigError(f"segment_len must be an even integer >= 4, got {L}")
     hop = L // 2
     if panel.n_samples < L:
         raise ConfigError(
@@ -65,18 +54,9 @@ def welch_cross_spectrum(panel: TimeSeriesPanel, config: WelchConfig = WelchConf
 
 def save_spectrum_csv(spectrum: SpectralMatrix, path) -> None:
     """Write ``nu, i, j, re, im`` rows, one-sided, frequency-major, channels 1-based."""
-    path = Path(path)
-    nu, i, j = _grid_columns(spectrum.grid, spectrum.n_channels)
-    flat = spectrum.values.reshape(-1)
-    table = np.column_stack([nu, i, j, flat.real, flat.imag])
-    np.savetxt(
-        path,
-        table,
-        delimiter=",",
-        header="nu,i,j,re,im",
-        comments="",
-        fmt=["%.17g", "%d", "%d", "%.17g", "%.17g"],
-    )
+    with open(path, "w") as fh:
+        fh.write("nu,i,j,re,im\n")
+        _write_grid_rows(fh, spectrum.grid, spectrum.values)
 
 
 def load_spectrum_csv(path) -> SpectralMatrix:

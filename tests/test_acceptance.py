@@ -35,7 +35,6 @@ from spectralgc import (
     transfer_function,
     welch_cross_spectrum,
     wilson_factorize,
-    WelchConfig,
 )
 
 SAMPLE_SIZES = (1024, 4096, 16384)
@@ -145,7 +144,7 @@ def test_criterion_6_nonminimum_phase_failure_mode():
         "var": total_pdc(transfer_function(fit_var(panel).model, grid), method_tag="var"),
         "vma": total_pdc(transfer_function(fit_vma(panel, 2).model, grid), method_tag="vma"),
         "wn": total_pdc(
-            wilson_factorize(welch_cross_spectrum(panel, WelchConfig(segment_len=256))),
+            wilson_factorize(welch_cross_spectrum(panel, segment_len=256)),
             method_tag="wn",
         ),
     }

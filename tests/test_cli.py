@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from spectralgc import VarmaModel, example_model, save_panel_csv, simulate
-from spectralgc.cli import main
+from spectralgc import ExperimentSpec, VarmaModel, example_model, save_panel_csv, simulate
+from spectralgc.cli import _spec_from_args, build_parser, main
 
 
 def _common(tmp_path, name="out"):
@@ -70,12 +70,38 @@ def test_analyze_subcommand(tmp_path, capsys):
     panel = simulate(example_model(1), 2048, seed=2)
     csv_path = tmp_path / "panel.csv"
     save_panel_csv(panel, csv_path)
-    rc = main(["analyze", str(csv_path), "--methods", "var,wn"] + _common(tmp_path))
+    rc = main(
+        ["analyze", str(csv_path), "--methods", "var,wn", "--seg-len", "128", "--out", str(tmp_path / "out")]
+    )
     assert rc == 0
     out = capsys.readouterr().out
     # no reference available, so no MSE lines — only the closing note
     assert out.strip() == f"outputs written to {tmp_path / 'out'}"
     assert (tmp_path / "out" / "fields.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--ns", "--realizations", "--seed", "--jobs"])
+def test_analyze_rejects_monte_carlo_flags(tmp_path, capsys, flag):
+    # analyze_panel reads none of them, so they are not accepted silently
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(tmp_path / "panel.csv"), flag, "2", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_flags_set_spec_fields_and_omitted_flags_keep_spec_defaults():
+    parse = build_parser().parse_args
+    assert _spec_from_args(parse(["example", "2"])) == ExperimentSpec(example_id=2)
+    assert _spec_from_args(parse(["analyze", "p.csv"])) == ExperimentSpec(panel_path="p.csv")
+    args = parse([
+        "model", "m.json", "--ns", "512", "--realizations", "3", "--seed", "7", "--jobs", "2",
+        "--methods", "var, wn", "--orders", "1,2", "--seg-len", "64", "--out", "o",
+    ])
+    assert _spec_from_args(args) == ExperimentSpec(
+        model_path="m.json", n_samples=512, n_realizations=3, base_seed=7, n_jobs=2,
+        methods=("var", "wn"), orders=(1, 2), segment_len=64, out_dir="o",
+    )
 
 
 def test_entry_point_is_installed():

@@ -7,6 +7,7 @@ from spectralgc import (
     ConnectivityField,
     FrequencyGrid,
     NumericalError,
+    SpectralFactor,
     SpectralMatrix,
     VarmaModel,
     coherency,
@@ -63,6 +64,15 @@ def test_innovation_structure_scale_invariance():
     s = innovation_structure(np.diag([2.0, 3.0]))
     assert np.allclose(s.R, np.eye(2))
     assert np.allclose(s.Rt, np.eye(2))
+
+
+@pytest.mark.parametrize("sigma", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]]])
+@pytest.mark.parametrize("measure", [total_pdc, total_dtf, gpdc])
+def test_measures_reject_singular_innovation_covariance(sigma, measure):
+    grid = FrequencyGrid(8)
+    factor = SpectralFactor(grid, np.broadcast_to(np.eye(2), (grid.one_sided_count, 2, 2)), np.array(sigma))
+    with pytest.raises(NumericalError, match="singular"):
+        measure(factor)
 
 
 def test_innovation_structure_rejects_singular():

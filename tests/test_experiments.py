@@ -270,3 +270,94 @@ def test_realization_retains_no_panel(monkeypatch):
     fields = experiments._realization_fields(model, spec, methods, vma_q, varma_pq, 0)
     assert len(refs) == 1 and refs[0]() is None
     assert set(fields[0]) == set(methods)
+
+
+# ------------------------------------------------------------ default methods
+
+NEED_Q = "'vma' needs a positive MA order"
+NEED_P = "'varma' needs a positive AR order"
+EXPLICIT = ("vma", "varma", "var")
+
+#: (example, methods, orders) -> (methods, vma_q, varma_pq) or the ConfigError message,
+#: as resolved before examples, model files and panels shared one rule; None is a panel,
+#: which a pure VAR model file (q = 0) resolves like
+RESOLVED = {
+    (1, (), None): (("var", "vma", "wn"), 1, None),
+    (1, (), (0, 1)): (("var", "vma", "wn"), 1, None),
+    (1, (), (2, 0)): NEED_Q,
+    (1, (), (2, 2)): (("var", "vma", "wn"), 2, (2, 2)),
+    (1, EXPLICIT, None): NEED_P,
+    (1, EXPLICIT, (0, 1)): NEED_P,
+    (1, EXPLICIT, (2, 0)): NEED_Q,
+    (1, EXPLICIT, (2, 2)): (EXPLICIT, 2, (2, 2)),
+    (2, (), None): (("var", "vma", "varma", "wn"), 20, (2, 2)),
+    (2, (), (0, 1)): NEED_P,
+    (2, (), (2, 0)): NEED_Q,
+    (2, (), (2, 2)): (("var", "vma", "varma", "wn"), 2, (2, 2)),
+    (2, EXPLICIT, None): (EXPLICIT, 20, (2, 2)),
+    (2, EXPLICIT, (0, 1)): NEED_P,
+    (2, EXPLICIT, (2, 0)): NEED_Q,
+    (2, EXPLICIT, (2, 2)): (EXPLICIT, 2, (2, 2)),
+    (4, (), None): (("var", "vma", "wn"), 2, None),
+    (4, (), (0, 1)): (("var", "vma", "wn"), 1, None),
+    (4, (), (2, 0)): NEED_Q,
+    (4, (), (2, 2)): (("var", "vma", "wn"), 2, (2, 2)),
+    (4, EXPLICIT, None): NEED_P,
+    (4, EXPLICIT, (0, 1)): NEED_P,
+    (4, EXPLICIT, (2, 0)): NEED_Q,
+    (4, EXPLICIT, (2, 2)): (EXPLICIT, 2, (2, 2)),
+    (None, (), None): (("var", "wn"), None, None),
+    (None, (), (0, 1)): (("var", "wn"), 1, None),
+    (None, (), (2, 0)): (("var", "wn"), None, (2, 0)),
+    (None, (), (2, 2)): (("var", "wn"), 2, (2, 2)),
+    (None, EXPLICIT, None): NEED_Q,
+    (None, EXPLICIT, (0, 1)): NEED_P,
+    (None, EXPLICIT, (2, 0)): NEED_Q,
+    (None, EXPLICIT, (2, 2)): (EXPLICIT, 2, (2, 2)),
+}
+
+
+@pytest.mark.parametrize(
+    "source, key",
+    [(source, key) for source in ("example", "model file") for key in RESOLVED if key[0] is not None]
+    + [(source, key) for source in ("panel", "VAR model file") for key in RESOLVED if key[0] is None],
+    ids=str,
+)
+def test_default_methods_and_orders(tmp_path, source, key):
+    example_id, methods, orders = key
+    want = RESOLVED[key]
+    if source == "panel":
+        spec, model = ExperimentSpec(methods=methods, orders=orders), None
+    elif source == "VAR model file":
+        model = experiments.VarmaModel(np.array([[[0.5, 0.0], [0.2, 0.5]]]), np.eye(2)[None], np.eye(2))
+        spec = ExperimentSpec(model_path="var1.json", methods=methods, orders=orders)
+    elif source == "example":
+        spec, model = ExperimentSpec(example_id=example_id, methods=methods, orders=orders), example_model(example_id)
+    else:
+        path = tmp_path / "model.json"
+        example_model(example_id).save_json(path)
+        spec = ExperimentSpec(model_path=str(path), methods=methods, orders=orders)
+        model = experiments.VarmaModel.load_json(path)
+        if example_id == 2 and orders is None:
+            want = (want[0], 2, want[2])  # the long VMA window belongs to the bundled example only
+    if isinstance(want, str):
+        with pytest.raises(ConfigError, match=want):
+            experiments._resolve_methods_and_orders(spec, model)
+    else:
+        assert experiments._resolve_methods_and_orders(spec, model) == want
+
+
+def test_tdtf_is_computed_only_for_written_fields(tmp_path, monkeypatch):
+    tags = []
+    real_total_dtf = experiments.total_dtf
+
+    def counting_total_dtf(factor, method_tag=""):
+        tags.append(method_tag)
+        return real_total_dtf(factor, method_tag=method_tag)
+
+    monkeypatch.setattr(experiments, "total_dtf", counting_total_dtf)
+    summary = run_example(_spec(tmp_path, example_id=1, n_realizations=3))
+    # the two references, then one field per method of realization 0
+    assert tags == ["theory", "theory-wn"] + summary["methods"]
+    written = {(f.kind, f.method_tag) for f in load_field_csv(tmp_path / "out" / "fields_r0.csv")}
+    assert {("tDTF", tag) for tag in tags} <= written

@@ -6,7 +6,6 @@ from spectralgc import (
     ConfigError,
     TimeSeriesPanel,
     VarmaModel,
-    WelchConfig,
     example_model,
     load_spectrum_csv,
     save_spectrum_csv,
@@ -92,9 +91,10 @@ def test_consistency_with_theoretical_spectrum():
 
 def test_panel_shorter_than_segment_rejected():
     with pytest.raises(ConfigError):
-        welch_cross_spectrum(TimeSeriesPanel(np.zeros((2, 100))), WelchConfig(segment_len=256))
-    with pytest.raises(ConfigError):
-        WelchConfig(segment_len=255)
+        welch_cross_spectrum(TimeSeriesPanel(np.zeros((2, 100))), segment_len=256)
+    for odd_or_short in (255, 2):
+        with pytest.raises(ConfigError, match="even integer >= 4"):
+            welch_cross_spectrum(TimeSeriesPanel(np.zeros((2, 1000))), segment_len=odd_or_short)
 
 
 def test_spectrum_csv_roundtrip(tmp_path):

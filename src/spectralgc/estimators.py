@@ -59,20 +59,24 @@ def _check_panel(panel: TimeSeriesPanel) -> None:
         raise DegeneratePanelError(f"channel x{ch} has zero variance; nothing to fit")
 
 
-def _solve_sylvester(pfh, pf, pbh, pb, c):
-    """``X`` with ``(pfh pf⁻¹) X + X (pb⁻¹ pbh) = c``; ``pfh, pf, pbh, pb`` symmetric positive definite.
+def _solve_sylvester(gram, cov, c):
+    """``X`` with ``(pfh pf⁻¹) X + X (pb⁻¹ pbh) = c``, given the pairs ``gram = [pfh, pbh]``, ``cov = [pf, pb]``.
 
-    ``pf = L Lᵀ``, ``L⁻¹ pfh L⁻ᵀ = Q Λ Qᵀ``, ``pb = R Rᵀ`` and ``R⁻¹ pbh R⁻ᵀ = P M Pᵀ``
+    All four matrices are symmetric positive definite.  ``pf = L Lᵀ``,
+    ``L⁻¹ pfh L⁻ᵀ = Q Λ Qᵀ``, ``pb = R Rᵀ`` and ``R⁻¹ pbh R⁻ᵀ = P M Pᵀ``
     diagonalize the coefficients as ``U Λ U⁻¹`` (``U = L Q``) and ``V M V⁻¹``
-    (``V = R⁻ᵀ P``), so ``X = U [(U⁻¹ c V)ᵢⱼ / (λᵢ + μⱼ)] V⁻¹``.  Raises
+    (``V = R⁻ᵀ P``), so ``X = U [(U⁻¹ c V)ᵢⱼ / (λᵢ + μⱼ)] V⁻¹``.  The
+    forward and backward halves share each call: one batched Cholesky,
+    inverse and ``eigh`` over the ``(2, N, N)`` pair.  Raises
     ``LinAlgError`` if ``pf`` or ``pb`` is not positive definite.
     """
-    l, r = np.linalg.cholesky(pf), np.linalg.cholesky(pb)
-    li, ri = np.linalg.inv(l), np.linalg.inv(r)
-    lam, q = np.linalg.eigh(li @ pfh @ li.T)
-    mu, p = np.linalg.eigh(ri @ pbh @ ri.T)
-    y = (q.T @ li @ c @ ri.T @ p) / (lam[:, None] + mu)
-    return l @ q @ y @ p.T @ r.T
+    chol = np.linalg.cholesky(cov)  # [L, R]
+    chol_inv = np.linalg.inv(chol)
+    w, v = np.linalg.eigh(chol_inv @ gram @ chol_inv.transpose(0, 2, 1))  # [Λ, M], [Q, P]
+    left = v.transpose(0, 2, 1) @ chol_inv  # [U⁻¹, Vᵀ]
+    right = chol @ v  # [U, V⁻ᵀ]
+    y = (left[0] @ c @ left[1].T) / (w[0][:, None] + w[1])
+    return right[0] @ y @ right[1].T
 
 
 def _lattice_stages(x: np.ndarray):
@@ -87,6 +91,14 @@ def _lattice_stages(x: np.ndarray):
     ``[ef[1:]; eb[:-1]]`` is one view: one Gram gives its three
     correlations and ``[[I, -A_m], [-B_m, I]]`` writes both new errors
     into the other buffer of a pair.
+
+    Every forward quantity has a backward twin of the same shape, and at
+    N = 2-3 a stage's cost is the number of numpy calls, not arithmetic.
+    So the pairs are held as ``(2, ...)`` stacks, forward first: the
+    residual covariances ``P = [pf, pb]``, the Gram's diagonal blocks
+    ``[pfh, pbh]`` (a view), the partial coefficients ``[A_m, B_m]`` and
+    the coefficient blocks ``[fwd, bwd]``; each step of the recursion is
+    then one batched call for both halves.
     """
     n, n_samp = x.shape
     bufs = np.empty((2, 2 * n, n_samp + 1))
@@ -94,34 +106,28 @@ def _lattice_stages(x: np.ndarray):
     bufs[0, n:, 1:] = x
     eye = np.eye(n)
     update = np.eye(2 * n)  # [[I, -A_m], [-B_m, I]]
-    pf = x @ x.T / n_samp
-    pb = pf.copy()
-    fwd = bwd = np.zeros((0, n, n))  # coefficient blocks of the current order
-    yield fwd, pf
+    P = np.broadcast_to(x @ x.T / n_samp, (2, n, n)).copy()
+    blocks = np.zeros((2, 0, n, n))  # [fwd, bwd] coefficient blocks of the current order
+    yield blocks[0], P[0]
     m = 0
     while True:
         m += 1
         length = n_samp - m
         z = bufs[(m - 1) % 2, :, 1 : length + 1]
         g = z @ z.T
+        gram = g.reshape(2, n, 2, n).diagonal(0, 0, 2).transpose(2, 0, 1)  # [pfh, pbh], a view
         try:
-            rho = _solve_sylvester(g[:n, :n], pf, g[n:, n:], pb, 2.0 * g[:n, n:])
+            rho = _solve_sylvester(gram, P, 2.0 * g[:n, n:])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Nuttall-Strand stage {m} failed: {exc}") from exc
-        a_m = rho @ np.linalg.inv(pb)
-        b_m = rho.T @ np.linalg.inv(pf)
-        fwd, bwd = (
-            np.concatenate([fwd - a_m @ bwd[::-1], a_m[None]]),
-            np.concatenate([bwd - b_m @ fwd[::-1], b_m[None]]),
-        )
-        pf = (eye - a_m @ b_m) @ pf
-        pb = (eye - b_m @ a_m) @ pb
-        pf = 0.5 * (pf + pf.T)
-        pb = 0.5 * (pb + pb.T)
-        update[:n, n:], update[n:, :n] = -a_m, -b_m
+        ab = np.array((rho, rho.T)) @ np.linalg.inv(P)[::-1]  # [A_m, B_m] = [rho pb⁻¹, rhoᵀ pf⁻¹]
+        blocks = np.concatenate([blocks - ab[:, None] @ blocks[::-1, ::-1], ab[:, None]], axis=1)
+        P = (eye - ab @ ab[::-1]) @ P  # [(I - A_m B_m) pf, (I - B_m A_m) pb]
+        P = 0.5 * (P + P.transpose(0, 2, 1))
+        update[:n, n:], update[n:, :n] = -ab
         np.matmul(update[:n], z, out=bufs[m % 2, :n, :length])
         np.matmul(update[n:], z, out=bufs[m % 2, n:, 1 : length + 1])
-        yield fwd, pf  # fresh arrays, never written again
+        yield blocks[0].copy(), P[0]  # a copy, so the memo holds no backward blocks; never written again
 
 
 def _nuttall_strand(panel: TimeSeriesPanel, p_max: int) -> list:

@@ -50,7 +50,7 @@ from .models import (
     transfer_function,
 )
 from .simulate import TimeSeriesPanel, load_panel_csv, simulate
-from .welch import welch_cross_spectrum
+from .welch import _check_segment_len, welch_cross_spectrum
 from .wilson import wilson_factorize
 
 __all__ = ["ExperimentSpec", "example_model", "run_example", "run_model", "analyze_panel"]
@@ -63,6 +63,9 @@ PARAMETRIC_GRID_POINTS = 512
 #: needs a long lag window; order 20 keeps the truncation bias of that
 #: approximant below the sampling noise at the benchmark sample sizes.
 EXAMPLE_VMA_Q = {2: 20}
+
+#: the spec fields :func:`analyze_panel` reads, the only ones its summary records
+_ANALYZE_FIELDS = ("panel_path", "methods", "orders", "segment_len", "out_dir")
 
 
 @dataclass
@@ -87,6 +90,7 @@ class ExperimentSpec:
             raise ConfigError(f"need at least one realization, got {self.n_realizations}")
         if self.n_jobs < 1:
             raise ConfigError(f"need at least one job, got {self.n_jobs}")
+        _check_segment_len(self.segment_len)
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
@@ -97,8 +101,12 @@ class ExperimentSpec:
             self.orders = (int(p), int(q))
 
     def config_hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return _config_hash(asdict(self))
+
+
+def _config_hash(config: dict) -> str:
+    payload = json.dumps(config, sort_keys=True, default=str)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def example_model(example_id: int) -> VarmaModel:
@@ -336,7 +344,8 @@ def analyze_panel(spec: ExperimentSpec) -> dict:
 
     There is no generating model, hence no reference and no MSE column;
     ``vma``/``varma`` must be given explicit orders.  Of the spec it reads
-    ``panel_path``, ``methods``, ``orders``, ``segment_len`` and ``out_dir``.
+    only the :data:`_ANALYZE_FIELDS`, and only those are recorded under
+    ``config`` in ``summary.json`` and hashed into ``config_hash``.
     """
     if spec.panel_path is None:
         raise ConfigError("analyze_panel needs spec.panel_path")
@@ -351,9 +360,10 @@ def analyze_panel(spec: ExperimentSpec) -> dict:
         panel, spec, methods, vma_q, varma_pq, with_dtf=True
     )
     save_field_csv([f for m in methods for f in (tpdc_fields[m], tdtf_fields[m])], out / "fields.csv")
+    config = {k: v for k, v in asdict(spec).items() if k in _ANALYZE_FIELDS}
     summary = {
-        "config": asdict(spec),
-        "config_hash": spec.config_hash(),
+        "config": config,
+        "config_hash": _config_hash(config),
         "panel": {"n_channels": panel.n_channels, "n_samples": panel.n_samples},
         "methods": list(methods),
         "selected_orders": {m: list(o) if o else None for m, o in orders.items()},

@@ -71,6 +71,25 @@ class FrequencyGrid:
         return np.arange(self.one_sided_count) / self.n_points
 
 
+def _stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for stacks of small complex matrices, as one real product per matrix.
+
+    numpy's complex ``@`` makes one ``zgemm`` call per matrix of a stack,
+    and at N = 2-7 that call's overhead outweighs its arithmetic; the real
+    matmul loop is several times cheaper.  So ``a`` is read as its
+    interleaved ``(re, im)`` float view and every entry ``x + iy`` of ``b``
+    becomes the real block ``[[x, y], [-y, x]]``, whose two rows are the
+    float views of ``x + iy`` and ``i (x + iy)``: the real product of these
+    is ``a @ b`` again in interleaved form.
+    """
+    h, k, m = b.shape
+    rows = np.empty((h, k, 2, m), dtype=complex)
+    rows[:, :, 0] = b
+    np.multiply(b, 1j, out=rows[:, :, 1])
+    a_real = np.ascontiguousarray(a, dtype=complex).view(float)
+    return (a_real @ rows.view(float).reshape(h, 2 * k, 2 * m)).view(complex)
+
+
 def _check_leading_axis(values: np.ndarray, grid: FrequencyGrid, what: str) -> None:
     F, n1, n2 = values.shape
     if F != grid.one_sided_count or n1 != n2:

@@ -17,6 +17,11 @@ from .simulate import TimeSeriesPanel
 __all__ = ["welch_cross_spectrum", "save_spectrum_csv", "load_spectrum_csv"]
 
 
+def _check_segment_len(segment_len) -> None:
+    if segment_len < 4 or segment_len % 2 != 0:
+        raise ConfigError(f"segment_len must be an even integer >= 4, got {segment_len}")
+
+
 def welch_cross_spectrum(panel: TimeSeriesPanel, segment_len: int = 256) -> SpectralMatrix:
     """Estimate the spectral density matrix of ``panel``.
 
@@ -30,9 +35,8 @@ def welch_cross_spectrum(panel: TimeSeriesPanel, segment_len: int = 256) -> Spec
     SpectralMatrix
         On the one-sided grid of ``FrequencyGrid(segment_len)``.
     """
+    _check_segment_len(segment_len)
     L = segment_len
-    if L < 4 or L % 2 != 0:
-        raise ConfigError(f"segment_len must be an even integer >= 4, got {L}")
     hop = L // 2
     if panel.n_samples < L:
         raise ConfigError(

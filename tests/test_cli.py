@@ -80,6 +80,22 @@ def test_analyze_subcommand(tmp_path, capsys):
     assert (tmp_path / "out" / "fields.csv").exists()
 
 
+@pytest.mark.parametrize("seg_len", ["255", "0"])
+@pytest.mark.parametrize("command", ["example", "analyze"])
+def test_bad_segment_length_exits_two_and_names_it(tmp_path, capsys, command, seg_len):
+    # analyze checks it too, although only the wn method reads it
+    if command == "example":
+        argv = ["example", "1", "--methods", "var,wn", "--ns", "1024", "--realizations", "1"]
+    else:
+        csv_path = tmp_path / "panel.csv"
+        save_panel_csv(simulate(example_model(1), 1024, seed=2), csv_path)
+        argv = ["analyze", str(csv_path), "--methods", "var"]
+    rc = main(argv + ["--seg-len", seg_len, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"segment_len must be an even integer >= 4, got {seg_len}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--ns", "--realizations", "--seed", "--jobs"])
 def test_analyze_rejects_monte_carlo_flags(tmp_path, capsys, flag):
     # analyze_panel reads none of them, so they are not accepted silently

@@ -344,7 +344,7 @@ def test_sylvester_solve_residual(n):
     rng = np.random.default_rng(n)
     pfh, pf, pbh, pb = (w @ w.T for w in rng.normal(size=(4, n, 3 * n)))
     c = rng.normal(size=(n, n))
-    x = estimators._solve_sylvester(pfh, pf, pbh, pb, c)
+    x = estimators._solve_sylvester(np.stack([pfh, pbh]), np.stack([pf, pb]), c)
     residual = pfh @ np.linalg.inv(pf) @ x + x @ np.linalg.inv(pb) @ pbh - c
     assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(c)
 

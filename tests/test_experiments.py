@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import weakref
@@ -180,6 +181,21 @@ def test_analyze_panel_matches_direct_fit(tmp_path):
         transfer_function(fit_var(panel).model, FrequencyGrid(512)), method_tag="var"
     )
     assert np.array_equal(by_tag[("tPDC", "var")].values, direct.values)
+
+
+def test_analyze_records_only_the_settings_it_reads(tmp_path):
+    csv_path = tmp_path / "panel.csv"
+    save_panel_csv(simulate(example_model(1), 4096, seed=4), csv_path)
+    spec = ExperimentSpec(panel_path=str(csv_path), methods=("var",), out_dir=str(tmp_path / "out"))
+    analyze_panel(spec)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config"] == {
+        "panel_path": str(csv_path), "methods": ["var"], "orders": None, "segment_len": 256,
+        "out_dir": str(tmp_path / "out"),
+    }
+    assert summary["panel"]["n_samples"] == 4096
+    payload = json.dumps(summary["config"], sort_keys=True)
+    assert summary["config_hash"] == hashlib.sha256(payload.encode()).hexdigest()
 
 
 def test_analyze_white_noise_panel_shows_no_links(tmp_path):

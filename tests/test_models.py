@@ -17,6 +17,7 @@ from spectralgc import (
     theoretical_spectrum,
     transfer_function,
 )
+from spectralgc import models
 
 
 def test_frequency_grid_basics():
@@ -207,3 +208,17 @@ def test_innovation_form_normalizes_and_preserves_spectrum():
     # already-normalized models pass through untouched
     m1 = example_model(1)
     assert innovation_form(m1) is m1
+
+
+@pytest.mark.parametrize("h", [1, 129, 513])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stacked_matmul_equals_complex_matmul(n, h):
+    rng = np.random.default_rng(10 * n + h)
+    re, im = rng.normal(size=(2, 2, h, n, n))
+    a, b = re + 1j * im
+    a_h, b_h = a.conj().transpose(0, 2, 1), b.conj().transpose(0, 2, 1)  # non-contiguous
+    for x, y in ((a, b), (a_h, b), (a, b_h), (a_h, b_h)):
+        want = x @ y
+        got = models._stacked_matmul(x, y)
+        assert got.shape == want.shape and got.dtype == complex
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

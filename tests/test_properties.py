@@ -102,6 +102,25 @@ def test_total_measures_permute_with_the_channels(model, data):
         assert np.max(np.abs(measure(permuted).values - expected)) < 1e-10
 
 
+def _rescaled(model, d):
+    """The same process with channel ``i`` multiplied by ``d[i] > 0``."""
+    D, D_inv = np.diag(d), np.diag(1.0 / d)
+    return VarmaModel(
+        D @ model.ar_blocks @ D_inv, D @ model.ma_blocks @ D_inv, D @ model.innovations_cov @ D
+    )
+
+
+@PROPERTY_SETTINGS
+@given(stable_varma(), st.data())
+def test_total_measures_ignore_channel_scales(model, data):
+    scale = st.floats(0.01, 100.0)
+    d = np.array(data.draw(st.lists(scale, min_size=model.n_channels, max_size=model.n_channels)))
+    factor = transfer_function(model, GRID)
+    rescaled = transfer_function(_rescaled(model, d), GRID)
+    for measure in (total_pdc, total_dtf):
+        assert np.max(np.abs(measure(rescaled).values - measure(factor).values)) < 1e-10
+
+
 WILSON_GRID = FrequencyGrid(1024)
 
 

@@ -16,6 +16,10 @@ evaluated on a fixed 512-point grid; the nonparametric (Welch + Wilson,
 method tag ``wn``) estimate lives on its segment-length grid, with the
 reference evaluated there for scoring.  Total DTF is computed only for
 the fields that are written: realization 0 and the analyzed panel.
+Short realizations are simulated and fitted in groups of
+``max(1, LATTICE_GROUP_SAMPLES // (N n_s))`` that share one batched
+Nuttall-Strand lattice; each realization's results are bit-identical to
+fitting it alone, and a group is one task of the process pool.
 
 Every source gets its default methods and orders from one rule (see
 :func:`_resolve_methods_and_orders`); a data panel has no generator and
@@ -41,7 +45,7 @@ from .connectivity import (
     total_pdc,
 )
 from .errors import ConfigError
-from .estimators import fit_var, fit_vma, fit_varma
+from .estimators import _join_lattice, fit_var, fit_vma, fit_varma
 from .models import (
     FrequencyGrid,
     VarmaModel,
@@ -63,6 +67,10 @@ PARAMETRIC_GRID_POINTS = 512
 #: needs a long lag window; order 20 keeps the truncation bias of that
 #: approximant below the sampling noise at the benchmark sample sizes.
 EXAMPLE_VMA_Q = {2: 20}
+
+#: realizations per lattice group are ``max(1, LATTICE_GROUP_SAMPLES // (N n_s))``,
+#: so a group's error buffers (32 bytes per channel-sample) stay within 256 KiB
+LATTICE_GROUP_SAMPLES = 8192
 
 #: the spec fields :func:`analyze_panel` reads, the only ones its summary records
 _ANALYZE_FIELDS = ("panel_path", "methods", "orders", "segment_len", "out_dir")
@@ -208,10 +216,18 @@ def _panel_fields(
     return tpdc_fields, tdtf_fields, orders_used
 
 
-def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q, varma_pq, r: int):
-    """Simulate realization ``r`` and fit every method; returns field dicts, tDTF for r = 0 only."""
-    panel = simulate(model, spec.n_samples, spec.base_seed + r)
-    return _panel_fields(panel, spec, methods, vma_q, varma_pq, with_dtf=r == 0)
+def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q, varma_pq, rs):
+    """Simulate realizations ``rs`` as one lattice group and fit every method to each.
+
+    Returns one ``(tPDC, tDTF, orders)`` triple per realization, in order;
+    only realization 0 gets tDTF fields.
+    """
+    panels = [simulate(model, spec.n_samples, spec.base_seed + r) for r in rs]
+    _join_lattice(panels)
+    return [
+        _panel_fields(panel, spec, methods, vma_q, varma_pq, with_dtf=r == 0)
+        for r, panel in zip(rs, panels)
+    ]
 
 
 def _reference_fields(model: VarmaModel, spec: ExperimentSpec):
@@ -301,14 +317,17 @@ def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
     mse = {m: [] for m in methods}
     mean_real = {m: None for m in methods}
 
-    args = [(model, spec, methods, vma_q, varma_pq, r) for r in range(spec.n_realizations)]
+    size = max(1, LATTICE_GROUP_SAMPLES // (model.n_channels * spec.n_samples))
+    groups = [range(r, min(r + size, spec.n_realizations)) for r in range(0, spec.n_realizations, size)]
+    args = [(model, spec, methods, vma_q, varma_pq, rs) for rs in groups]
     # clamped here, not in the spec, so the recorded config stays machine-independent
-    workers = min(spec.n_jobs, spec.n_realizations, os.cpu_count() or 1)
+    workers = min(spec.n_jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_realization_fields, *zip(*args)))
+            per_group = list(pool.map(_realization_fields, *zip(*args)))
     else:
-        outputs = [_realization_fields(*a) for a in args]
+        per_group = [_realization_fields(*a) for a in args]
+    outputs = [fields for group in per_group for fields in group]
 
     for tpdc_fields, _, _ in outputs:
         for m in methods:

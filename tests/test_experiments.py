@@ -234,20 +234,22 @@ def test_analyze_vma_requires_orders(tmp_path):
 
 
 def test_process_pool_writes_the_same_bundle(tmp_path):
-    bundles = {}
-    for n_jobs in (1, 2):
-        run_example(_spec(tmp_path, example_id=2, n_jobs=n_jobs))
-        out = tmp_path / "out"
-        bundles[n_jobs] = {name: (out / name).read_bytes() for name in ("summary.json", "fields_r0.csv")}
-    assert bundles[2]["fields_r0.csv"] == bundles[1]["fields_r0.csv"]
-    # the recorded config (and so its hash) is the one line that may differ
-    one = bundles[1]["summary.json"].decode().splitlines()
-    two = bundles[2]["summary.json"].decode().splitlines()
-    differing = [(a, b) for a, b in zip(one, two) if a != b]
-    assert len(one) == len(two)
-    assert [(a.strip(), b.strip()) for a, b in differing if '"config_hash"' not in a] == [
-        ('"n_jobs": 1,', '"n_jobs": 2,')
-    ]
+    # at n_s = 1024 example 2 runs groups of two realizations, example 1 groups of four
+    for example_id, n_realizations in ((2, 4), (1, 6)):
+        bundles = {}
+        for n_jobs in (1, 2):
+            run_example(_spec(tmp_path, example_id=example_id, n_realizations=n_realizations, n_jobs=n_jobs))
+            out = tmp_path / "out"
+            bundles[n_jobs] = {name: (out / name).read_bytes() for name in ("summary.json", "fields_r0.csv")}
+        assert bundles[2]["fields_r0.csv"] == bundles[1]["fields_r0.csv"]
+        # the recorded config (and so its hash) is the one line that may differ
+        one = bundles[1]["summary.json"].decode().splitlines()
+        two = bundles[2]["summary.json"].decode().splitlines()
+        differing = [(a, b) for a, b in zip(one, two) if a != b]
+        assert len(one) == len(two)
+        assert [(a.strip(), b.strip()) for a, b in differing if '"config_hash"' not in a] == [
+            ('"n_jobs": 1,', '"n_jobs": 2,')
+        ]
 
 
 def test_process_pool_is_clamped_to_the_work(tmp_path, monkeypatch):
@@ -261,31 +263,32 @@ def test_process_pool_is_clamped_to_the_work(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", recording_pool)
     fields = {}
     for n_jobs in (1, 8):
-        summary = run_example(_spec(tmp_path, example_id=1, n_jobs=n_jobs))
+        summary = run_example(_spec(tmp_path, example_id=1, n_realizations=6, n_jobs=n_jobs))
         assert summary["config"]["n_jobs"] == n_jobs  # recorded as requested
         fields[n_jobs] = (tmp_path / "out" / "fields_r0.csv").read_bytes()
-    # two realizations never need more than two workers; one CPU runs in-process
+    # six realizations in groups of four are two tasks, which never need more
+    # than two workers; one CPU runs in-process
     assert requested == ([2] if (os.cpu_count() or 1) > 1 else [])
     assert fields[8] == fields[1]
 
 
 def test_realization_retains_no_panel(monkeypatch):
-    # the panel, and with it the memoised lattice, dies when the realization returns
+    # the panels, and with them their lattice group, die when the realizations return
     refs = []
-    real_simulate = experiments.simulate
+    real_join = experiments._join_lattice
 
-    def tracking_simulate(*args, **kwargs):
-        panel = real_simulate(*args, **kwargs)
-        refs.append(weakref.ref(panel))
-        return panel
+    def tracking_join(panels):
+        real_join(panels)
+        refs.extend(weakref.ref(panel) for panel in panels)
+        refs.append(weakref.ref(panels[0]._memo["lattice"][0]))
 
-    monkeypatch.setattr(experiments, "simulate", tracking_simulate)
-    spec = ExperimentSpec(example_id=2, n_samples=1024, n_realizations=1, segment_len=128)
+    monkeypatch.setattr(experiments, "_join_lattice", tracking_join)
+    spec = ExperimentSpec(example_id=2, n_samples=1024, n_realizations=2, segment_len=128)
     model = example_model(2)
     methods, vma_q, varma_pq = experiments._resolve_methods_and_orders(spec, model)
-    fields = experiments._realization_fields(model, spec, methods, vma_q, varma_pq, 0)
-    assert len(refs) == 1 and refs[0]() is None
-    assert set(fields[0]) == set(methods)
+    fields = experiments._realization_fields(model, spec, methods, vma_q, varma_pq, [0, 1])
+    assert len(refs) == 3 and all(ref() is None for ref in refs)
+    assert len(fields) == 2 and all(set(f[0]) == set(methods) for f in fields)
 
 
 # ------------------------------------------------------------ default methods

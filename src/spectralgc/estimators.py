@@ -64,17 +64,20 @@ def _check_panel(panel: TimeSeriesPanel) -> None:
 
 
 def _solve_sylvester(gram, cov, c):
-    """``X`` with ``(pfh pf⁻¹) X + X (pb⁻¹ pbh) = c`` for each panel of a group.
+    """``[A_m, B_m] = [X pb⁻¹, Xᵀ pf⁻¹]``, ``(pfh pf⁻¹) X + X (pb⁻¹ pbh) = c``, per panel of a group.
 
     ``gram = [pfh, pbh]`` and ``cov = [pf, pb]`` are ``(R, 2, N, N)``
     pairs and ``c`` is ``(R, N, N)``, one entry per panel.  All four
     matrices are symmetric positive definite.  ``pf = L Lᵀ``,
     ``L⁻¹ pfh L⁻ᵀ = Q Λ Qᵀ``, ``pb = C Cᵀ`` and ``C⁻¹ pbh C⁻ᵀ = P M Pᵀ``
     diagonalize the coefficients as ``U Λ U⁻¹`` (``U = L Q``) and ``V M V⁻¹``
-    (``V = C⁻ᵀ P``), so ``X = U [(U⁻¹ c V)ᵢⱼ / (λᵢ + μⱼ)] V⁻¹``.  The
-    forward and backward halves of every panel share each call: one
-    batched Cholesky, inverse and ``eigh`` over the ``(R, 2, N, N)`` pairs.
-    Raises ``LinAlgError`` if any ``pf`` or ``pb`` is not positive definite.
+    (``V = C⁻ᵀ P``), so ``X = U y V⁻¹`` with ``y = [(U⁻¹ c V)ᵢⱼ / (λᵢ + μⱼ)]``.
+    Since ``V⁻¹ pb⁻¹ = Vᵀ`` and ``Uᵀ pf⁻¹ = U⁻¹``, the partial coefficients
+    are ``[A_m, B_m] = [U y Vᵀ, V⁻ᵀ yᵀ U⁻¹]``, returned as an ``(R, 2, N, N)``
+    pair with no inverse of ``pf`` or ``pb``.  The forward and backward
+    halves of every panel share each call: one batched Cholesky, inverse
+    and ``eigh`` over the ``(R, 2, N, N)`` pairs.  Raises ``LinAlgError``
+    if any ``pf`` or ``pb`` is not positive definite.
     """
     chol = np.linalg.cholesky(cov)  # [L, C]
     chol_inv = np.linalg.inv(chol)
@@ -82,7 +85,44 @@ def _solve_sylvester(gram, cov, c):
     left = v.swapaxes(2, 3) @ chol_inv  # [U⁻¹, Vᵀ]
     right = chol @ v  # [U, V⁻ᵀ]
     y = (left[:, 0] @ c @ left[:, 1].swapaxes(1, 2)) / (w[:, 0, :, None] + w[:, 1, None])
-    return right[:, 0] @ y @ right[:, 1].swapaxes(1, 2)
+    return right @ np.array((y, y.swapaxes(1, 2))).swapaxes(0, 1) @ left[:, ::-1]
+
+
+def _advance(update, src, dst, span: int, shift: int) -> None:
+    """Apply ``[[I, -A_m], [-B_m, I]]`` to the columns ``:span`` of ``src``, writing ``dst``.
+
+    The forward rows land in the same columns, the backward rows
+    ``shift`` columns to the right.  ``src`` and ``dst`` are the two
+    buffers of a pair, so matmul writes in place.
+    """
+    n = update.shape[-1] // 2
+    np.matmul(update[..., :n, :], src[..., :span], out=dst[..., :n, :span])
+    np.matmul(update[..., n:, :], src[..., :span], out=dst[..., n:, shift : span + shift])
+
+
+def _edge_errors(x: np.ndarray, cap: int, history) -> np.ndarray:
+    """Buffer pair of the lattice errors at each panel's edges, for stages up to ``cap``.
+
+    The lattice runs on ``y = [x(0..cap-1), x(n_samp-cap..n_samp-1), 0, ..., 0]``
+    (``3 cap`` samples, zero before its start): buffer column p holds
+    ``[ef(p); eb(p - 1)]`` of ``y``.  While ``m <= cap``, columns ``:m`` and
+    ``2 cap:2 cap + m`` are the order-m errors of the zero-padded ``x`` at
+    ``t = 0..m-1`` and ``t = n_samp..n_samp+m-1``: no window that ends
+    there reaches back across a seam of ``y``.  The updates in ``history``
+    (one per stage already run) are replayed, so the next stage reads
+    buffer ``len(history) % 2``.
+    """
+    r, n, n_samp = x.shape
+    span = min(cap, n_samp)
+    y = np.zeros((r, n, 3 * cap))
+    y[:, :, :span] = x[:, :, :span]
+    y[:, :, 2 * cap - span : 2 * cap] = x[:, :, n_samp - span :]
+    bufs = np.zeros((2, r, 2 * n, 3 * cap + 1))
+    bufs[0, :, :n, :-1] = y
+    bufs[0, :, n:, 1:] = y
+    for k, update in enumerate(history):
+        _advance(update, bufs[k % 2], bufs[(k + 1) % 2], 3 * cap, 1)
+    return bufs
 
 
 def _lattice_stages(x: np.ndarray):
@@ -93,57 +133,89 @@ def _lattice_stages(x: np.ndarray):
     ``(R, N, N)``, panel i's lattice at index i.  Each stage solves the
     Sylvester equation expressing the harmonic-mean (Nuttall-Strand)
     compromise between the forward and backward partial correlation
-    normal equations, then updates both prediction-error filters
-    Levinson-style, all ``(m, N, N)`` coefficient blocks at once.  A
-    panel's order-m errors sit in one ``(2N, n_samp + 1)`` buffer, ``ef``
-    at ``[:N, :n_samp - m]`` and ``eb`` one column later, so the next
-    stage's ``[ef[1:]; eb[:-1]]`` is one view: one Gram gives its three
-    correlations and ``[[I, -A_m], [-B_m, I]]`` writes both new errors
-    into the other buffer of a pair.
+    normal equations, then updates both prediction-error filters.
+
+    A stage updates the filters, never the data.  Stage m's errors are
+    ``z(t) = [ef(t); eb(t - 1)] = W X(t)`` for ``t = m..n_samp - 1``, with
+    ``X(t) = [x(t); ...; x(t - m)]`` and the filter pair
+    ``W = [[I, -F_1, ..., -F_{m-1}, 0], [0, -B_{m-1}, ..., -B_1, I]]``, so
+    the Gram of the errors, whose blocks are the three correlations, is
+    ``W T Wᵀ - (W E)(W E)ᵀ``.  ``T`` is block Toeplitz with blocks
+    ``C_{j-i}``, the full-range lag products ``C_k = Σ_s x(s + k) x(s)ᵀ``
+    (``C_{-k} = C_kᵀ``), and ``E`` holds the zero-padded windows ``X(t)``
+    at ``t = 0..m-1`` and ``t = n_samp..n_samp+m-1`` that the full range
+    adds.  Neither is formed.  ``W T`` is carried along with ``W``: the
+    update ``[[I, -A_m], [-B_m, I]]`` maps both to the next order, and
+    each row gains one block, ``[I, -A_m] W`` times ``[C_{m+1}; ...; C_1]``
+    and ``[-B_m, I] W`` times ``[C_1ᵀ; ...; C_{m+1}ᵀ]``.  ``W E`` are the
+    lattice's own errors at the edges, run on a few samples there (see
+    :func:`_edge_errors`).  The lag product is the only pass over the
+    samples, so a stage costs O(N² n_samp + m N³) where filtering the data
+    would take three O(N² n_samp) products.  ``W`` and ``W T`` share a buffer
+    pair, the backward row one block to the right of the forward row.
+    The operators hold orders up to a capacity of 64, doubled (and the
+    edge lattice replayed) when a stage passes it.  The AR blocks are
+    read off the forward filter.
 
     At N = 2-3 a stage's cost is the number of numpy calls, not
     arithmetic, so every call runs once for all R panels and for both
     halves of each: the forward/backward twins are ``(R, 2, ...)`` stacks,
     forward first (the residual covariances ``P = [pf, pb]``, the Gram's
-    diagonal blocks ``[pfh, pbh]`` as a view, the partial coefficients
-    ``[A_m, B_m]`` and the coefficient blocks ``[fwd, bwd]``).  numpy
-    still hands BLAS and LAPACK one matrix at a time, with the strides a
-    lone panel has, so a panel's stages are bit-identical in any group.
-    A group shares that per-call cost among its panels: 32 example-1
-    lattices of 50 stages (N = 2, n_samp = 1024, 1 BLAS thread) took
-    232 ms one by one, 98 ms in groups of four and 54 ms as one group.
-    A group of one is the lone panel.
+    diagonal blocks ``[pfh, pbh]`` as a view and the partial coefficients
+    ``[A_m, B_m]``).  numpy still hands BLAS and LAPACK one matrix at a
+    time, with the strides a lone panel has, so a panel's stages are
+    bit-identical in any group.  A group shares that per-call cost among
+    its panels: 32 example-1 lattices of 50 stages (N = 2, n_samp = 1024,
+    1 BLAS thread) took 239 ms one by one, 76 ms in groups of four and
+    27 ms as one group.  A group of one is the lone panel.
     """
     r, n, n_samp = x.shape
-    # the buffer pair axis leads, so a stage's input and output extents are disjoint and matmul writes in place
-    bufs = np.empty((2, r, 2 * n, n_samp + 1))
-    bufs[0, :, :n, :n_samp] = x
-    bufs[0, :, n:, 1:] = x
     eye = np.eye(n)
     update = np.tile(np.eye(2 * n), (r, 1, 1))  # [[I, -A_m], [-B_m, I]] per panel
-    P = np.broadcast_to((x @ x.swapaxes(1, 2) / n_samp)[:, None], (r, 2, n, n)).copy()
-    blocks = np.zeros((r, 2, 0, n, n))  # [fwd, bwd] coefficient blocks of the current order
-    yield blocks[:, 0], P[:, 0]
+    c0 = x @ x.swapaxes(1, 2)
+    P = np.broadcast_to((c0 / n_samp)[:, None], (r, 2, n, n)).copy()
+    yield np.zeros((r, 0, n, n)), P[:, 0]
+    cap = 64  # the highest order the operators hold
+    lags = np.zeros((r, (2 * cap + 1) * n, n))  # C_k in block cap - k, for k = -cap..cap
+    lags[:, cap * n : (cap + 1) * n] = c0
+    # [W, W T] per panel, twice: the pair axis leads, so matmul writes in place
+    filters = np.zeros((2, r, 2, 2 * n, (cap + 2) * n))
+    filters[0, :, 0, :n, :n] = filters[0, :, 0, n:, n : 2 * n] = eye
+    filters[0, :, 1, :n, :n] = filters[0, :, 1, n:, n : 2 * n] = c0
+    history = []  # each stage's update, replayed when the edge lattice grows
+    edges = _edge_errors(x, cap, history)
     m = 0
     while True:
         m += 1
-        length = n_samp - m
-        z = bufs[(m - 1) % 2, :, :, 1 : length + 1]
-        g = z @ z.swapaxes(1, 2)
+        if m > cap:
+            lags = np.pad(lags, ((0, 0), (cap * n, cap * n), (0, 0)))
+            filters = np.pad(filters, ((0, 0),) * 4 + ((0, cap * n),))
+            cap *= 2
+            edges = _edge_errors(x, cap, history)
+        width = (m + 1) * n
+        w, wt = filters[(m - 1) % 2, :, 0], filters[(m - 1) % 2, :, 1]
+        lag = lags[:, (cap - m) * n : (cap - m + 1) * n]
+        np.matmul(x[:, :, m:], x[:, :, : n_samp - m].swapaxes(1, 2), out=lag)  # C_m
+        lags[:, (cap + m) * n : (cap + m + 1) * n] = lag.swapaxes(1, 2)
+        # the blocks W T gains at order m: its last forward one and its first backward one
+        np.matmul(w[:, :n, : m * n], lags[:, (cap - m) * n : cap * n], out=wt[:, :n, m * n : width])
+        np.matmul(w[:, n:, n:width], lags[:, (cap + 1) * n : (cap + m + 1) * n], out=wt[:, n:, :n])
+        e = edges[(m - 1) % 2]
+        z = np.concatenate((e[:, :, :m], e[:, :, 2 * cap : 2 * cap + m]), axis=2)  # W E
+        g = wt[:, :, :width] @ w[:, :, :width].swapaxes(1, 2) - z @ z.swapaxes(1, 2)
         gram = g.reshape(r, 2, n, 2, n).diagonal(0, 1, 3).transpose(0, 3, 1, 2)  # [pfh, pbh], a view
         try:
-            rho = _solve_sylvester(gram, P, 2.0 * g[:, :n, n:])
+            ab = _solve_sylvester(gram, P, 2.0 * g[:, :n, n:])  # [A_m, B_m]
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Nuttall-Strand stage {m} failed: {exc}") from exc
-        # [A_m, B_m] = [rho pb⁻¹, rhoᵀ pf⁻¹]
-        ab = np.array((rho, rho.swapaxes(1, 2))).swapaxes(0, 1) @ np.linalg.inv(P)[:, ::-1]
-        blocks = np.concatenate([blocks - ab[:, :, None] @ blocks[:, ::-1, ::-1], ab[:, :, None]], axis=2)
         P = (eye - ab @ ab[:, ::-1]) @ P  # [(I - A_m B_m) pf, (I - B_m A_m) pb]
         P = 0.5 * (P + P.swapaxes(2, 3))
         update[:, :n, n:], update[:, n:, :n] = -ab.swapaxes(0, 1)
-        np.matmul(update[:, :n], z, out=bufs[m % 2, :, :n, :length])
-        np.matmul(update[:, n:], z, out=bufs[m % 2, :, n:, 1 : length + 1])
-        yield blocks[:, 0].copy(), P[:, 0]  # a copy, so the memo holds no backward blocks; never written again
+        history.append(update.copy())
+        _advance(update[:, None], filters[(m - 1) % 2], filters[m % 2], width, n)
+        _advance(update, e, edges[m % 2], 3 * cap, 1)
+        # the forward filter is [I, -F_1, ..., -F_m]; a fresh array, never written again
+        yield -filters[m % 2, :, 0, :n, n:width].reshape(r, n, m, n).swapaxes(1, 2), P[:, 0]
 
 
 class _LatticeGroup:
@@ -205,13 +277,17 @@ def _nuttall_strand(panel: TimeSeriesPanel, p_max: int) -> list:
     continues one lattice instead of restarting it; stages are identical
     either way.  Panels joined by :func:`_join_lattice` share one lattice
     group and extend it together, one batched stage for all of them; a
-    panel fitted alone is a group of one.  A Monte Carlo run groups
-    ``max(1, 8192 // (N n_s))`` realizations, which keeps a group's error
-    buffers within 256 KiB.  On example 1 at n_s = 1024 (32 realizations
-    a call) groups of 4, 8, 16 and 32 took 0.49, 0.48, 0.44 and 0.44 s a
-    call, with overlapping quartiles, against 0.65 s in groups of one;
-    peak memory rose with the group, from 46.0 to 50.6 MB, so the
-    smallest of them takes the gain.
+    panel fitted alone is a group of one.  A stage reads the samples only
+    through one lag product per member; what a member keeps between stages
+    is its filters, the edge lattice and the lag products, about
+    ``(660 + 4p) N² + 770 N`` doubles after p stages whatever n_s (40 KB
+    at N = 2, p = 50).  A Monte Carlo run groups ``max(1, 8192 // (N n_s))``
+    realizations.  On example 1 at n_s = 1024 (32 realizations a call,
+    1 BLAS thread) groups of 4, 8, 16 and 32 took 0.51-0.57, 0.47-0.52,
+    0.40-0.48 and 0.41-0.48 s a call (medians of two rounds), against
+    0.71-0.78 s in groups of one; peak memory rose with the group, from
+    43.2 MB (4) to 44.3, 44.7 and 47.7 MB, so the smallest of them takes
+    most of the gain.
 
     A stage that fails breaks the group up (see :class:`_LatticeGroup`).
     A member of a larger group then continues alone, through the same

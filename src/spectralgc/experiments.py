@@ -18,7 +18,9 @@ reference evaluated there for scoring.  Total DTF is computed only for
 the fields that are written: realization 0 and the analyzed panel.
 Short realizations are simulated and fitted in groups of
 ``max(1, LATTICE_GROUP_SAMPLES // (N n_s))`` that share one batched
-Nuttall-Strand lattice; each realization's results are bit-identical to
+Nuttall-Strand lattice: each stage takes one lag product per
+realization and updates every realization's prediction-error filters in
+the same numpy calls.  Each realization's results are bit-identical to
 fitting it alone, and a group is one task of the process pool.
 
 Every source gets its default methods and orders from one rule (see
@@ -68,8 +70,11 @@ PARAMETRIC_GRID_POINTS = 512
 #: approximant below the sampling noise at the benchmark sample sizes.
 EXAMPLE_VMA_Q = {2: 20}
 
-#: realizations per lattice group are ``max(1, LATTICE_GROUP_SAMPLES // (N n_s))``,
-#: so a group's error buffers (32 bytes per channel-sample) stay within 256 KiB
+#: realizations per lattice group are ``max(1, LATTICE_GROUP_SAMPLES // (N n_s))``:
+#: four at N = 2, n_s = 1024, one at n_s = 16384.  A member holds its filters,
+#: edge errors and lag products, about (660 + 4p) N² + 770 N doubles after p
+#: stages whatever n_s (40 KB at N = 2, p = 50).  Larger groups run faster still
+#: but raise peak memory (see ``estimators._nuttall_strand``)
 LATTICE_GROUP_SAMPLES = 8192
 
 #: the spec fields :func:`analyze_panel` reads, the only ones its summary records

@@ -389,9 +389,23 @@ def test_concurrent_fits_of_one_group_share_one_lattice(monkeypatch):
 
 # ------------------------------------------------------------ lattice internals
 
+def _assert_matches_reference(panel, p_max, bound, label):
+    """A lone panel's stages against the per-block recursion, relative to each stage's largest entry."""
+    n = panel.n_channels
+    got = estimators._nuttall_strand(panel, p_max)
+    want = ref.nuttall_strand_blocks(panel.data, p_max)
+    assert len(got) == len(want) == p_max + 1
+    for m, ((ar, cov), (ar_ref, cov_ref)) in enumerate(zip(got, want)):
+        assert ar.shape == (m, n, n)
+        if m:
+            ar_ref = np.array(ar_ref)
+            assert np.max(np.abs(ar - ar_ref)) <= bound * np.max(np.abs(ar_ref)), (label, m)
+        assert np.max(np.abs(cov - cov_ref)) <= bound * np.max(np.abs(cov_ref)), (label, m)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_lattice_matches_per_block_reference(n):
-    """Stacked blocks, fused errors and the eigen-based Sylvester solve against the per-block recursion.
+    """Filter-domain stages, lag products and the eigen-based Sylvester solve against the per-block recursion.
 
     A lone panel's stages are checked against the reference; in a group
     of R = 1..5 panels each panel's stages equal its lone ones bit for bit.
@@ -400,14 +414,7 @@ def test_lattice_matches_per_block_reference(n):
     p_max = 12
     for p in (1, 3):
         panel = simulate(_random_stable_model(rng, n, p, 0), 1500, seed=p)
-        got = estimators._nuttall_strand(panel, p_max)
-        want = ref.nuttall_strand_blocks(panel.data, p_max)
-        for m, ((ar, cov), (ar_ref, cov_ref)) in enumerate(zip(got, want)):
-            assert ar.shape == (m, n, n)
-            if m:
-                ar_ref = np.array(ar_ref)
-                assert np.max(np.abs(ar - ar_ref)) <= 1e-12 * np.max(np.abs(ar_ref)), (p, m)
-            assert np.max(np.abs(cov - cov_ref)) <= 1e-12 * np.max(np.abs(cov_ref)), (p, m)
+        _assert_matches_reference(panel, p_max, 1e-12, p)
     for size in range(1, 6):
         panels = [
             simulate(_random_stable_model(rng, n, int(rng.integers(1, 4)), 0), 1500, seed=s)
@@ -424,17 +431,64 @@ def test_lattice_matches_per_block_reference(n):
                 assert np.array_equal(ar, ar_alone) and np.array_equal(cov, cov_alone), (size, m)
 
 
+def _random_panel(n, n_samples, seed):
+    return simulate(_random_stable_model(np.random.default_rng(seed), n, 2, 0), n_samples, seed=seed)
+
+
+# case: (panel factory, p_max, bound).  A stage forms its Gram as W T Wᵀ
+# minus the edge errors' Gram, so an error Gram far below the lag products it
+# comes from loses digits: the shortest panels the fits accept (N p_max + 2
+# samples for fit_var, 4 (50 + q) for fit_vma) are fitted nearly to their
+# noise floor, and example 1's unit-circle MA zero gives long, slowly decaying
+# filters.  Over seeds 0-11 the largest deviations were 2.1e-13 (ex2, 16384),
+# 7.5e-14 (N = 7, 16384), 1.2e-11 (ex2, 152), 1.9e-12 (N = 7, 352), 6.8e-13
+# (ex2, 280), 1.4e-11 (ex1, 102) and 1.6e-12 (ex1, 16384); the error-domain
+# lattice stays within 1.1e-13 on all of them.  Order 140 passes the
+# operators' capacity twice.
+EXTREME_LATTICES = {
+    "ex2-16384": (lambda: simulate(example_model(2), 16384, seed=0), 50, 1e-12),
+    "n7-16384": (lambda: _random_panel(7, 16384, 0), 50, 1e-12),
+    "ex2-shortest-var": (lambda: simulate(example_model(2), 3 * 50 + 2, seed=0), 50, 5e-11),
+    "n7-shortest-var": (lambda: _random_panel(7, 7 * 50 + 2, 0), 50, 5e-11),
+    "ex2-shortest-vma": (lambda: simulate(example_model(2), 4 * (50 + 20), seed=0), 50, 5e-11),
+    "ex1-shortest-var": (lambda: simulate(example_model(1), 2 * 50 + 2, seed=0), 50, 5e-11),
+    "ex1-16384": (lambda: simulate(example_model(1), 16384, seed=0), 50, 1e-11),
+    "n2-order-140": (lambda: _random_panel(2, 2048, 0), 140, 1e-12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_LATTICES))
+def test_lattice_matches_per_block_reference_at_the_extremes(case):
+    make, p_max, bound = EXTREME_LATTICES[case]
+    _assert_matches_reference(make(), p_max, bound, case)
+
+
+def test_lattice_group_past_capacity_matches_lone_panels():
+    # the edge lattice is replayed when the operators grow; grouped stages stay bit-identical
+    panels = [_random_panel(2, 2048, s) for s in range(3)]
+    estimators._join_lattice(panels)
+    for panel in panels:
+        got = estimators._nuttall_strand(panel, 140)
+        alone = estimators._nuttall_strand(_fresh(panel), 140)
+        for m, ((ar, cov), (ar_alone, cov_alone)) in enumerate(zip(got, alone)):
+            assert np.array_equal(ar, ar_alone) and np.array_equal(cov, cov_alone), m
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_sylvester_solve_residual(n):
     rng = np.random.default_rng(n)
     size = 3  # panels of a group, solved in one call
     pfh, pf, pbh, pb = (w @ w.swapaxes(1, 2) for w in rng.normal(size=(4, size, n, 3 * n)))
     c = rng.normal(size=(size, n, n))
-    x = estimators._solve_sylvester(np.stack([pfh, pbh], axis=1), np.stack([pf, pb], axis=1), c)
-    assert x.shape == (size, n, n)
+    ab = estimators._solve_sylvester(np.stack([pfh, pbh], axis=1), np.stack([pf, pb], axis=1), c)
+    assert ab.shape == (size, 2, n, n)
     for k in range(size):
-        residual = pfh[k] @ np.linalg.inv(pf[k]) @ x[k] + x[k] @ np.linalg.inv(pb[k]) @ pbh[k] - c[k]
+        a_m, b_m = ab[k]
+        x = a_m @ pb[k]  # [A_m, B_m] = [X pb⁻¹, Xᵀ pf⁻¹]
+        residual = pfh[k] @ np.linalg.inv(pf[k]) @ x + x @ np.linalg.inv(pb[k]) @ pbh[k] - c[k]
         assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(c[k])
+        b_want = x.T @ np.linalg.inv(pf[k])
+        assert np.linalg.norm(b_m - b_want) < 1e-12 * np.linalg.norm(b_want)
 
 
 def _collinear_panel(n_samples=4096):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import threading
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,24 +218,22 @@ def _lattice_stages(x: np.ndarray):
 
 
 class _LatticeGroup:
-    """One Nuttall-Strand lattice over equal-shaped panels, extended on demand.
+    """One Nuttall-Strand lattice over a stack of equal-shaped panels' data, extended on demand.
 
-    Each member panel holds ``(group, index)`` in its memo.  The group
-    refers to its members weakly, so it lives exactly as long as the
-    last of them.  A failed stage breaks the group up: it leaves every
-    member's memo, and each member's next fit runs a lattice of its own.
+    The group holds the data, never a panel: each member panel holds
+    ``(group, index)`` in its memo, so the group lives as long as the last
+    memo that holds it.  A failed stage spends the group, and only
+    :func:`_nuttall_strand` takes it out of a member's memo, on that
+    member's next fit.
     """
 
-    def __init__(self, panels):
+    def __init__(self, data: np.ndarray):
         self._lock = threading.Lock()
-        self._members = [weakref.ref(panel) for panel in panels]
-        data = [panel.data for panel in panels]
-        # a lone panel is viewed, not copied; Monte Carlo runs group only short panels
-        self._gen = _lattice_stages(np.stack(data) if len(data) > 1 else data[0][None])
-        self._stages = [[] for _ in panels]  # per member, [(ar_blocks, residual_cov)]
+        self._gen = _lattice_stages(data)
+        self._stages = [[] for _ in data]  # per member, [(ar_blocks, residual_cov)]
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._stages)
 
     def stages(self, index: int, p_max: int) -> list:
         """Member ``index``'s stages for p = 0..p_max, extending the lattice as needed."""
@@ -249,21 +246,16 @@ class _LatticeGroup:
                     for own, ar_i, cov_i in zip(self._stages, ar, cov):
                         own.append((ar_i, cov_i))
             except BaseException:
-                self._break_up()  # the generator is spent
+                self._gen = None  # the generator is spent
                 raise
             return self._stages[index][: p_max + 1]
-
-    def _break_up(self) -> None:
-        self._gen = None
-        for ref in self._members:
-            panel = ref()
-            if panel is not None and panel._memo.get("lattice", (None,))[0] is self:
-                panel._memo.pop("lattice", None)
 
 
 def _join_lattice(panels) -> None:
     """Let equal-shaped ``panels`` share one Nuttall-Strand lattice (see :func:`_nuttall_strand`)."""
-    group = _LatticeGroup(panels)
+    data = [panel.data for panel in panels]
+    # a lone panel is viewed, not copied; Monte Carlo runs group only short panels
+    group = _LatticeGroup(np.stack(data) if len(data) > 1 else data[0][None])
     for index, panel in enumerate(panels):
         with panel._lock:
             panel._memo["lattice"] = (group, index)
@@ -289,23 +281,25 @@ def _nuttall_strand(panel: TimeSeriesPanel, p_max: int) -> list:
     43.2 MB (4) to 44.3, 44.7 and 47.7 MB, so the smallest of them takes
     most of the gain.
 
-    A stage that fails breaks the group up (see :class:`_LatticeGroup`).
-    A member of a larger group then continues alone, through the same
-    code with R = 1, so only the panel whose stage fails raises; a
-    lattice that fails is dropped from the memo, so a retry fails the
-    same way.
+    A stage that fails spends its group for every member.  Each member's
+    own next fit, under its own lock, drops the spent group from its memo
+    and continues on a lattice of its own, through the same code with
+    R = 1, so only the panel whose stage fails raises.  A group of one
+    re-raises; its lattice has left the memo, so a retry fails the same
+    way.  Any other exception drops the group the same way and
+    propagates, from a group of any size.
     """
     with panel._lock:
-        if "lattice" in panel._memo:
+        while True:
+            if "lattice" not in panel._memo:
+                _join_lattice([panel])
             group, index = panel._memo["lattice"]
             try:
                 return group.stages(index, p_max)
-            except NumericalError:
-                if len(group) == 1:
+            except BaseException as exc:
+                del panel._memo["lattice"]  # any failure spends the group
+                if len(group) == 1 or not isinstance(exc, NumericalError):
                     raise
-            # the group broke up and left the memo; this panel continues alone
-        _join_lattice([panel])
-        return panel._memo["lattice"][0].stages(0, p_max)
 
 
 def hannan_quinn(residual_covs, n_samples: int, n_channels: int) -> int:
@@ -408,7 +402,9 @@ def _ensure_minimum_phase(ma_blocks: np.ndarray, sigma: np.ndarray):
     if report.roots.size == 0 or np.max(report.magnitudes) <= 1.0 + 1e-6:
         return ma_blocks, sigma
 
-    from .wilson import wilson_factorize  # deferred: avoids import cycle at module load
+    # looked up at call time, so a wrapper installed on spectralgc.wilson (as
+    # bench/tracing.py installs to count minimum-phase swaps) sees this call
+    from .wilson import wilson_factorize
 
     grid = FrequencyGrid(max(1024, 8 * (q + 1)))
     B = eval_ma_polynomial(probe, grid.values)
@@ -476,7 +472,10 @@ def fit_varma(
 ) -> FitReport:
     """Two-step VARMA(p, q) fit (same scheme as :func:`fit_vma` plus AR lags).
 
-    ``q = 0`` degenerates to an ordinary least-squares VAR(p) fit.
+    ``q = 0`` is not an ordinary least-squares VAR(p) fit: the AR blocks
+    regress ``x(n) - eps(n)`` on the p lags of ``x`` over
+    ``n >= long_ar_order + p``, and ``Σ`` is the covariance of the long-VAR
+    residuals ``eps``.
     """
     if p < 1 or q < 0:
         raise ConfigError(f"orders must satisfy p >= 1 and q >= 0, got ({p}, {q})")

@@ -16,12 +16,12 @@ evaluated on a fixed 512-point grid; the nonparametric (Welch + Wilson,
 method tag ``wn``) estimate lives on its segment-length grid, with the
 reference evaluated there for scoring.  Total DTF is computed only for
 the fields that are written: realization 0 and the analyzed panel.
-Short realizations are simulated and fitted in groups of
-``max(1, LATTICE_GROUP_SAMPLES // (N n_s))`` that share one batched
-Nuttall-Strand lattice: each stage takes one lag product per
-realization and updates every realization's prediction-error filters in
-the same numpy calls.  Each realization's results are bit-identical to
-fitting it alone, and a group is one task of the process pool.
+Short realizations are simulated and fitted in groups, sized by
+:data:`LATTICE_GROUP_SAMPLES`, that share one batched Nuttall-Strand
+lattice; the measurements behind the rule are at
+``estimators._nuttall_strand``.  Each realization's results are
+bit-identical to fitting it alone, and a group is one task of the
+process pool.
 
 Every source gets its default methods and orders from one rule (see
 :func:`_resolve_methods_and_orders`); a data panel has no generator and
@@ -71,10 +71,8 @@ PARAMETRIC_GRID_POINTS = 512
 EXAMPLE_VMA_Q = {2: 20}
 
 #: realizations per lattice group are ``max(1, LATTICE_GROUP_SAMPLES // (N n_s))``:
-#: four at N = 2, n_s = 1024, one at n_s = 16384.  A member holds its filters,
-#: edge errors and lag products, about (660 + 4p) N² + 770 N doubles after p
-#: stages whatever n_s (40 KB at N = 2, p = 50).  Larger groups run faster still
-#: but raise peak memory (see ``estimators._nuttall_strand``)
+#: four at N = 2, n_s = 1024, one at n_s = 16384 (timings and memory per group
+#: size are at ``estimators._nuttall_strand``)
 LATTICE_GROUP_SAMPLES = 8192
 
 #: the spec fields :func:`analyze_panel` reads, the only ones its summary records
@@ -99,6 +97,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         self.methods = tuple(self.methods)
+        if self.n_samples < 1:
+            raise ConfigError(f"n_samples must be positive, got {self.n_samples}")
         if self.n_realizations < 1:
             raise ConfigError(f"need at least one realization, got {self.n_realizations}")
         if self.n_jobs < 1:

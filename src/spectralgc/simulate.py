@@ -32,15 +32,13 @@ class TimeSeriesPanel:
     The panel owns a read-only, C-ordered float copy of ``data``, so
     results derived from it stay valid for the panel's lifetime: the
     estimators memoise the Nuttall-Strand lattice and the long-VAR
-    residuals in ``_memo``, under ``_lock``, and every fit of one panel
-    shares them.  The lattice reads the samples once per stage, for one
-    lag product, and otherwise updates prediction-error filters, so it
-    keeps no error sequences.  Equal-shaped panels can also share one
-    lattice group, which runs each stage for all of them at once; a
-    Monte Carlo run groups ``max(1, 8192 // (N n_s))`` realizations (four
-    at N = 2, n_s = 1024; one at n_s = 16384).  The memo entry is then
-    ``(group, index)``; the group refers to its panels weakly and lives
-    as long as the last of them.  The memo dies with the panel and is
+    residuals in ``_memo``, and every fit of one panel shares them.
+    ``_memo`` is written only under ``_lock``, by joining a lattice group
+    and by the panel's own fits.  Equal-shaped panels can share one
+    lattice group, which runs each stage for all of them at once; the
+    memo entry is then ``(group, index)``, and the group holds the data,
+    never a panel (the group-size rule and its measurements are at
+    ``estimators._nuttall_strand``).  The memo dies with the panel and is
     not pickled.  As the owner of its memo, a panel compares and hashes
     by identity.
     """

@@ -43,6 +43,14 @@ def test_zero_jobs_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_zero_samples_exits_two(tmp_path, capsys):
+    # rejected by the spec, before the lattice group size divides by n_s
+    argv = ["example", "1", "--ns", "0", "--realizations", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "error: n_samples must be positive, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_model_file_exits_two(tmp_path, capsys):
     rc = main(["model", str(tmp_path / "nope.json")] + _common(tmp_path))
     assert rc == 2

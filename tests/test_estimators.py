@@ -1,6 +1,8 @@
+import gc
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -126,6 +128,25 @@ def test_varma_matches_var_when_q_zero():
     a_varma = fit_varma(panel, p=1, q=0).model.ar_blocks
     a_var = fit_var(panel, p_max=4).model.ar_blocks
     assert np.max(np.abs(a_varma[0] - a_var[0])) < 0.03
+
+
+def test_varma_with_q_zero_is_a_regression_on_long_var_residuals():
+    # not OLS VAR(p): the AR blocks regress x - eps on the p lags of x over
+    # t >= long_ar_order + p, and Σ is the covariance of the long-VAR residuals
+    panel, p, off = simulate(example_model(2), 4096, seed=46), 2, estimators.DEFAULT_LONG_AR_ORDER
+    model = fit_varma(panel, p, 0).model
+    x = panel.data
+    eps = estimators._long_var_residuals(_fresh(panel), off)
+    n, n_samp = x.shape
+    t0 = off + p
+    Z = np.concatenate([x[:, t0 - r : n_samp - r] for r in range(1, p + 1)])
+    C = np.linalg.solve(Z @ Z.T, Z @ (x[:, t0:] - eps[:, p:]).T).T
+    assert np.array_equal(model.ar_blocks, C.reshape(n, p, n).transpose(1, 0, 2))
+    sigma = eps @ eps.T / eps.shape[1]
+    assert np.array_equal(model.innovations_cov, 0.5 * (sigma + sigma.T))
+    Z_ols = np.concatenate([x[:, p - r : n_samp - r] for r in range(1, p + 1)])
+    C_ols = np.linalg.solve(Z_ols @ Z_ols.T, Z_ols @ x[:, p:].T).T
+    assert np.max(np.abs(C - C_ols)) > 1e-3
 
 
 def test_varma_on_white_noise_finds_nothing():
@@ -283,18 +304,25 @@ def test_standalone_panel_shares_one_lattice(monkeypatch):
     assert counter["stages"] == 50  # not 30 + 50
 
 
-def test_lattice_failure_is_not_cached(monkeypatch):
-    panel = simulate(example_model(2), 2048, seed=3)
+def _fail_at_stage_3(monkeypatch, error):
+    """Make the third Sylvester solve raise ``error``; returns the call counter."""
     real_solve = estimators._solve_sylvester
     calls = {"n": 0}
 
     def failing_at_stage_3(*args):
         calls["n"] += 1
         if calls["n"] == 3:
-            raise np.linalg.LinAlgError("forced")
+            raise error
         return real_solve(*args)
 
     monkeypatch.setattr(estimators, "_solve_sylvester", failing_at_stage_3)
+    return calls
+
+
+def test_lattice_failure_is_not_cached(monkeypatch):
+    panel = simulate(example_model(2), 2048, seed=3)
+    real_solve = estimators._solve_sylvester
+    calls = _fail_at_stage_3(monkeypatch, np.linalg.LinAlgError("forced"))
     with pytest.raises(NumericalError, match="stage 3"):
         fit_var(panel, p_max=10)
     assert panel._memo == {}
@@ -304,6 +332,19 @@ def test_lattice_failure_is_not_cached(monkeypatch):
     assert panel._memo == {}
     monkeypatch.setattr(estimators, "_solve_sylvester", real_solve)
     _assert_same_report(fit_var(panel, p_max=10), fit_var(_fresh(panel), p_max=10))
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_interrupted_lattice_is_not_cached(monkeypatch, size):
+    # any other exception out of a stage also spends the lattice, and propagates even from a group
+    panels = [simulate(example_model(2), 2048, seed=s) for s in range(3, 3 + size)]
+    estimators._join_lattice(panels)
+    calls = _fail_at_stage_3(monkeypatch, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        fit_var(panels[0], p_max=10)
+    assert panels[0]._memo == {} and calls["n"] == 3
+    for panel in panels:
+        _assert_same_report(fit_var(panel, p_max=10), fit_var(_fresh(panel), p_max=10))
 
 
 def test_long_var_residuals_computed_once_per_panel(monkeypatch):
@@ -501,32 +542,71 @@ def test_nearly_collinear_panel_is_a_numerical_failure():
         fit_var(_collinear_panel(), p_max=5)
 
 
+def _failing_group():
+    """Two healthy example-1 panels around a collinear one, and the collinear panel's lone error."""
+    panels = [simulate(example_model(1), 4096, seed=60), _collinear_panel(), simulate(example_model(1), 4096, seed=61)]
+    return panels, _error_text(lambda: fit_var(_fresh(panels[1]), p_max=5))
+
+
+def _error_text(fit):
+    with pytest.raises(NumericalError, match=r"Nuttall-Strand stage \d+") as info:
+        fit()
+    return str(info.value)
+
+
 @pytest.mark.parametrize("first", [0, 1])
 def test_failed_group_breaks_up(first):
-    panels = [simulate(example_model(1), 4096, seed=60), _collinear_panel(), simulate(example_model(1), 4096, seed=61)]
-    with pytest.raises(NumericalError, match=r"Nuttall-Strand stage \d+") as alone:
-        fit_var(_fresh(panels[1]), p_max=5)
+    panels, alone = _failing_group()
     estimators._join_lattice(panels)
-    group, _ = panels[0]._memo["lattice"]
+    spent = panels[0]._memo["lattice"][0]
+
+    def holds_spent(panel):
+        return panel._memo.get("lattice", (None,))[0] is spent
+
     if first == 0:
         # the healthy member whose fit ran into the failing stage continues alone
         _assert_same_report(fit_var(panels[0], p_max=5), fit_var(_fresh(panels[0]), p_max=5))
         assert len(panels[0]._memo["lattice"][0]) == 1
     else:
-        with pytest.raises(NumericalError) as grouped:
-            fit_var(panels[1], p_max=5)
-        assert str(grouped.value) == str(alone.value)
-        assert panels[0]._memo == {}
-    assert panels[1]._memo == {} and panels[2]._memo == {}
-    assert all(entry[0] is not group for p in panels for entry in p._memo.values())
+        assert _error_text(lambda: fit_var(panels[1], p_max=5)) == alone
+        assert panels[1]._memo == {}
+    # the spent group leaves a memo only through that panel's own next fit
+    assert not holds_spent(panels[first]) and holds_spent(panels[2])
     for _ in range(2):  # the failing member raises, and a retry fails the same way
-        with pytest.raises(NumericalError) as again:
-            fit_var(panels[1], p_max=5)
-        assert str(again.value) == str(alone.value)
+        assert _error_text(lambda: fit_var(panels[1], p_max=5)) == alone
         assert panels[1]._memo == {}
     for panel in (panels[0], panels[2]):
         _assert_same_report(fit_var(panel, p_max=30), fit_var(_fresh(panel), p_max=30))
+        assert not holds_spent(panel)
         _assert_same_report(fit_vma(panel, 1), fit_vma(_fresh(panel), 1))
+    spent = weakref.ref(spent)  # no memo holds the group any more, so it dies
+    gc.collect()
+    assert spent() is None
+
+
+class _MemoWithHook(dict):
+    """A memo that runs ``hook`` once, between a test for ``"lattice"`` and the read after it."""
+
+    def __init__(self, hook):
+        super().__init__()
+        self.hook = hook
+
+    def __contains__(self, key):
+        found = super().__contains__(key)
+        if key == "lattice" and self.hook is not None:
+            hook, self.hook = self.hook, None
+            hook()
+        return found
+
+
+def test_failed_group_leaves_other_memos_to_their_own_fits():
+    # member 0's fit runs into member 1's failing stage while member 2's fit
+    # has found the group in its memo and not yet read it
+    panels, _ = _failing_group()
+    object.__setattr__(panels[2], "_memo", _MemoWithHook(lambda: fit_var(panels[0], p_max=5)))
+    estimators._join_lattice(panels)
+    _assert_same_report(fit_var(panels[2], p_max=5), fit_var(_fresh(panels[2]), p_max=5))
+    assert panels[2]._memo.hook is None and len(panels[2]._memo["lattice"][0]) == 1
 
 
 @pytest.mark.xfail(strict=True, reason="the Wilson swap leaves MA zeros next to the unit circle outside it")

@@ -55,6 +55,8 @@ def test_unknown_example_rejected():
 def test_spec_validation():
     with pytest.raises(ConfigError):
         ExperimentSpec(example_id=1, n_realizations=0)
+    with pytest.raises(ConfigError, match="n_samples"):
+        ExperimentSpec(example_id=1, n_samples=0)
     with pytest.raises(ConfigError):
         ExperimentSpec(example_id=1, methods=("var", "magic"))
     with pytest.raises(ConfigError):

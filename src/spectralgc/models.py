@@ -40,6 +40,10 @@ __all__ = [
 #: condition number above which a matrix is treated as singular and not solved with
 COND_LIMIT = 1e12
 
+#: bytes of float64 work one streamed block may hold: the regressors of a
+#: block of samples in the two-step fits, the segments of a Welch batch
+BLOCK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -202,6 +206,15 @@ def _as_blocks(blocks, n_channels: int, what: str) -> np.ndarray:
     return arr
 
 
+def _blocks_field(d: dict, name: str, n: int, default) -> np.ndarray:
+    """``d[name]`` as ``(k, n, n)`` blocks; a ragged or wrongly sized list raises ``ConfigError``."""
+    value = d.get(name)
+    try:
+        return np.asarray(default if value is None else value, dtype=float).reshape(-1, n, n)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model description field {name!r}: cannot read {n}x{n} blocks: {exc}") from exc
+
+
 @dataclass
 class VarmaModel:
     """VARMA(p, q) parameter container.
@@ -266,9 +279,8 @@ class VarmaModel:
             sigma = np.asarray(d["sigma"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"model description missing/invalid field: {exc}") from exc
-        ar = np.asarray(d.get("ar", []), dtype=float).reshape(-1, n, n)
-        ma = d.get("ma")
-        ma = np.eye(n)[None] if ma is None else np.asarray(ma, dtype=float).reshape(-1, n, n)
+        ar = _blocks_field(d, "ar", n, [])
+        ma = _blocks_field(d, "ma", n, np.eye(n)[None])
         return cls(ar, ma, sigma)
 
     def save_json(self, path) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import threading
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -175,11 +176,16 @@ def load_panel_csv(path) -> TimeSeriesPanel:
             header = fh.readline().strip().split(",")
             if header[:1] != ["t"] or any(not c.startswith("x") for c in header[1:]):
                 raise ConfigError(f"{path}: expected header 't,x1,..,xN', got {header!r}")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # an empty table is reported below, not as numpy's warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read panel file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed panel CSV: {exc}") from exc
+    if rows.size == 0:
+        raise ConfigError(f"{path}: no data rows after the header")
     if rows.shape[1] != len(header):
         raise ConfigError(f"{path}: row width {rows.shape[1]} does not match header")
     meta = {}

@@ -379,3 +379,36 @@ def wilson_two_sided(S, tol=1e-6, max_iter=500):
     H = psi @ np.linalg.inv(psi0)[None]
     sigma = psi0 @ psi0.T
     return H, sigma, iteration
+
+
+def two_step_normal_equations(x, eps, p, q):
+    """``(Z Zᵀ, Z Yᵀ)`` of the two-step regression, with the whole regressor matrix ``Z`` at once.
+
+    ``eps`` is the long-VAR residual sequence, starting ``off = n_s - len(eps)``
+    samples into ``x``; column ``t >= off + max(p, q)`` of ``Z`` stacks
+    ``x(t - 1..p)`` and ``eps(t - 1..q)``, and ``Y(t) = x(t) - eps(t)``.
+    """
+    n_samp = x.shape[1]
+    off = n_samp - eps.shape[1]
+    t0 = off + max(p, q)
+    Y = x[:, t0:] - eps[:, t0 - off :]
+    lags = [x[:, t0 - r : n_samp - r] for r in range(1, p + 1)]
+    lags += [eps[:, t0 - off - s : n_samp - off - s] for s in range(1, q + 1)]
+    Z = np.concatenate(lags, axis=0)
+    return Z @ Z.T, Z @ Y.T
+
+
+def welch_all_segments(x, L):
+    """Welch estimate ``(L/2 + 1, N, N)`` with every segment stacked and transformed at once.
+
+    Half-overlapping periodic von Hann segments of the globally demeaned
+    channels, normalized by the window power.
+    """
+    hop = L // 2
+    n_seg = (x.shape[1] - L) // hop + 1
+    centred = x - x.mean(axis=1, keepdims=True)
+    segments = np.stack([centred[:, s : s + L] for s in hop * np.arange(n_seg)])
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(L) / L)
+    segments *= window
+    coeffs = np.fft.rfft(segments, axis=-1)
+    return np.einsum("kif,kjf->fij", coeffs, coeffs.conj()) / (n_seg * np.mean(window**2) * L)

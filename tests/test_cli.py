@@ -57,6 +57,22 @@ def test_missing_model_file_exits_two(tmp_path, capsys):
     assert "cannot read model file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, blocks",
+    [
+        ("ar", [1, 2, 3]),  # not a whole number of 2x2 blocks
+        ("ma", [[[1, 0], [0, 1]], [[0, 1], [0]]]),  # ragged
+    ],
+)
+def test_malformed_model_blocks_exit_two_and_name_the_field(tmp_path, capsys, field, blocks):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n_channels": 2, field: blocks, "sigma": [[1, 0], [0, 1]]}))
+    rc = main(["model", str(path)] + _common(tmp_path))
+    assert rc == 2
+    assert f"error: model description field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_model_run_from_file(tmp_path, capsys):
     path = tmp_path / "m.json"
     example_model(1).save_json(path)

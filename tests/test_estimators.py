@@ -2,6 +2,7 @@ import gc
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -27,6 +28,7 @@ from spectralgc import (
     theoretical_spectrum,
 )
 from spectralgc import estimators, experiments
+from spectralgc.models import BLOCK_BYTES
 
 import reference_impl as ref
 from test_simulate import _random_stable_model
@@ -363,6 +365,55 @@ def test_long_var_residuals_computed_once_per_panel(monkeypatch):
     assert calls["n"] == 2  # another order is another entry
     _assert_same_report(vma, fit_vma(_fresh(panel), 3))
     _assert_same_report(varma, fit_varma(_fresh(panel), 2, 2))
+
+
+def _traced_peak(f):
+    """Peak bytes that ``f()`` holds at once beyond what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "p, q, n_blocks, extra",
+    [
+        (0, 20, 1, 0),  # the window is exactly one block
+        (0, 20, 1, -100),  # part of one block
+        (0, 20, 4, 0),  # a multiple of the block
+        (0, 20, 4, 100),  # not a multiple
+        (2, 2, 3, 17),
+        (0, 1, 1, -5000),  # example 2's VMA(1) at 5973 samples is one block
+    ],
+)
+def test_streamed_normal_equations_match_one_product(p, q, n_blocks, extra):
+    step = BLOCK_BYTES // (8 * 3 * (p + q))  # samples per block on 3 channels
+    off = estimators.DEFAULT_LONG_AR_ORDER
+    n_s = off + max(p, q) + n_blocks * step + extra
+    panel = simulate(example_model(2), n_s, seed=p + q + n_blocks)
+    eps = estimators._long_var_residuals(panel, off)
+    got = estimators._normal_equations(panel.data, eps, p, q)
+    want = ref.two_step_normal_equations(panel.data, eps, p, q)
+    for g, w in zip(got, want):
+        if n_blocks == 1 and extra <= 0:
+            assert np.array_equal(g, w)
+        else:
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_two_step_memory_is_bounded_by_the_block():
+    # with the whole regressor matrix, fit_vma(q=20) peaked at 8.3 MB on this panel
+    streamed = []
+    for n_s in (16384, 32768):
+        panel = simulate(example_model(2), n_s, seed=8)
+        fit_vma(panel, 20)  # warm: the lattice and eps are memoised
+        eps = estimators._long_var_residuals(panel, estimators.DEFAULT_LONG_AR_ORDER)
+        if n_s == 16384:
+            assert _traced_peak(lambda: fit_vma(panel, 20)) < 1_000_000
+        streamed.append(_traced_peak(lambda: estimators._normal_equations(panel.data, eps, 0, 20)))
+    assert streamed[1] < 1.5 * streamed[0]
 
 
 CONCURRENT_ORDERS = [5, 30, 12, 50, 20, 40, 8, 25]

@@ -63,6 +63,9 @@ def test_spec_validation():
         ExperimentSpec(example_id=1, orders=(0, 0))
     with pytest.raises(ConfigError):
         ExperimentSpec(example_id=1, orders=(-1, 2))
+    for not_a_pair in ((1,), (1, 2, 3), 5, ("a", 1)):
+        with pytest.raises(ConfigError, match="orders must be a pair of integers"):
+            ExperimentSpec(example_id=1, orders=not_a_pair)
     for n_jobs in (0, -4):
         with pytest.raises(ConfigError, match="job"):
             ExperimentSpec(example_id=1, n_jobs=n_jobs)

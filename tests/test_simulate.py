@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ def test_panel_csv_rejects_malformed(tmp_path):
     path.write_text("a,b\n0,1\n")
     with pytest.raises(ConfigError):
         load_panel_csv(path)
+
+
+@pytest.mark.parametrize("body", ["", "\n\n"])
+def test_panel_csv_without_rows_rejected_without_a_warning(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,x1,x2\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not escape
+        with pytest.raises(ConfigError, match="no data rows"):
+            load_panel_csv(path)
 
 
 def test_panel_data_is_read_only():

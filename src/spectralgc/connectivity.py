@@ -26,6 +26,7 @@ endpoint so averages run over the open band ``[0, 1/2)``.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,21 +291,27 @@ def save_field_csv(fields, path) -> None:
 
 
 def load_field_csv(path) -> list:
-    """Inverse of :func:`save_field_csv`; returns a list of fields (other row layouts raise)."""
+    """Inverse of :func:`save_field_csv`; returns a list of fields (other row layouts raise).
+
+    The numbers and the two tags are read separately, so a tag that is
+    empty or looks like a number (``""``, ``"1"``, ``"nan"``) stays a string.
+    """
+    read = dict(delimiter=",", skiprows=1, ndmin=2, comments=None)
     try:
-        raw = np.genfromtxt(
-            path, delimiter=",", skip_header=1, dtype=None, encoding="utf-8",
-            names=["nu", "i", "j", "re", "im", "kind", "method"],
-        )
+        with warnings.catch_warnings():
+            # an empty table is reported below, not as numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(path, usecols=range(5), **read)
+            tags = np.loadtxt(path, usecols=(5, 6), dtype=str, **read)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read field file {path}: {exc}") from exc
-    raw = np.atleast_1d(raw)
+    if rows.size == 0:
+        raise ConfigError(f"{path}: no data rows after the header")
     fields = []
-    keys = {(str(k), str(m)) for k, m in zip(raw["kind"], raw["method"])}
-    for kind, method in sorted(keys):
-        mask = (raw["kind"] == kind) & (raw["method"] == method)
-        rows = raw[mask]
-        grid, n = _grid_from_columns(rows["nu"], rows["i"], rows["j"], f"{path} ({kind}/{method})")
-        values = (rows["re"] + 1j * rows["im"]).reshape(-1, n, n)
+    for kind, method in sorted(set(map(tuple, tags.tolist()))):
+        mask = (tags[:, 0] == kind) & (tags[:, 1] == method)
+        nu, i, j, re, im = rows[mask].T
+        grid, n = _grid_from_columns(nu, i, j, f"{path} ({kind}/{method})")
+        values = (re + 1j * im).reshape(-1, n, n)
         fields.append(ConnectivityField(grid, values, kind, method))
     return fields

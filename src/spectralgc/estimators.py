@@ -57,9 +57,12 @@ class FitReport:
 
 
 def _check_panel(panel: TimeSeriesPanel) -> None:
+    # exact for a constant channel, whose variance can round to a tiny positive
+    # number (1.9e-34 for 0.1), and no N x n_s temporary
     x = panel.data
-    if np.any(np.var(x, axis=1) == 0.0):
-        ch = int(np.argmin(np.var(x, axis=1))) + 1
+    constant = x.min(axis=1) == x.max(axis=1)
+    if np.any(constant):
+        ch = int(np.argmax(constant)) + 1
         raise DegeneratePanelError(f"channel x{ch} has zero variance; nothing to fit")
 
 
@@ -275,12 +278,12 @@ def _nuttall_strand(panel: TimeSeriesPanel, p_max: int) -> list:
     is its filters, the edge lattice and the lag products, about
     ``(660 + 4p) N² + 770 N`` doubles after p stages whatever n_s (40 KB
     at N = 2, p = 50).  A Monte Carlo run groups ``max(1, 8192 // (N n_s))``
-    realizations.  On example 1 at n_s = 1024 (32 realizations a call,
-    1 BLAS thread) groups of 4, 8, 16 and 32 took 0.51-0.57, 0.47-0.52,
-    0.40-0.48 and 0.41-0.48 s a call (medians of two rounds), against
-    0.71-0.78 s in groups of one; peak memory rose with the group, from
-    43.2 MB (4) to 44.3, 44.7 and 47.7 MB, so the smallest of them takes
-    most of the gain.
+    realizations, four on example 1 at n_s = 1024.  In five rounds of the
+    benchmark's mc-ex1-short workload (32 realizations a call, 1 BLAS
+    thread) groups of 4, 16 and 32 took a median 0.270, 0.244 and 0.224 s
+    a call, gaps smaller than the quartile spread of groups of four
+    (0.259-0.345 s), while peak RSS rose from 44.5 to 46.2 and 48.8 MB;
+    so the smallest group stays.
 
     A stage that fails spends its group for every member.  Each member's
     own next fit, under its own lock, drops the spent group from its memo

@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -331,6 +330,10 @@ def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
     # clamped here, not in the spec, so the recorded config stays machine-independent
     workers = min(spec.n_jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, not at the top: the pool brings in multiprocessing
+        # (1.2-1.6 MB of resident memory), which serial runs and analyze never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_group = list(pool.map(_realization_fields, *zip(*args)))
     else:

@@ -110,6 +110,22 @@ def _grid_columns(grid: FrequencyGrid, n: int):
     return np.repeat(grid.values, n * n), np.tile(np.repeat(ij, n), h), np.tile(ij, h * n)
 
 
+def _write_rows(fh, n_rows: int, row_values: int, block) -> None:
+    """Write ``n_rows`` CSV rows of ``row_values`` numbers each, in bounded blocks.
+
+    ``block(a, b)`` returns the ``%`` format of rows ``a .. b - 1`` and the
+    numbers it takes, in order; each block is written with one ``%``.  A
+    number in flight is a Python float (24 bytes), its slots in a list and
+    a tuple (8 bytes each) and up to 24 characters of text, so a block of
+    ``BLOCK_BYTES // (64 row_values)`` rows (at least one) holds at most
+    about ``BLOCK_BYTES``, whatever the size of the table.
+    """
+    step = max(1, BLOCK_BYTES // (64 * row_values))
+    for a in range(0, n_rows, step):
+        fmt, numbers = block(a, min(a + step, n_rows))
+        fh.write(fmt % tuple(numbers))
+
+
 def _write_grid_rows(fh, grid: FrequencyGrid, values: np.ndarray, suffix: str = "") -> None:
     """Write ``values`` as ``nu,i,j,re,im`` rows in :func:`_grid_columns` order.
 
@@ -118,15 +134,16 @@ def _write_grid_rows(fh, grid: FrequencyGrid, values: np.ndarray, suffix: str = 
     """
     n = values.shape[1]
     tail = suffix.replace("%", "%%") + "\n"
-    # one frequency's n*n rows as a single format, fed (nu, re, im) per row;
-    # each nu is formatted once and repeated as a string
-    block = "".join(f"%s,{i + 1},{j + 1},%.17g,%.17g{tail}" for i in range(n) for j in range(n))
+    # a frequency's n*n rows after its nu, fed the (re, im) pairs of the
+    # interleaved float view; each nu is formatted once, as text in the format
+    rows = [f",{i + 1},{j + 1},%.17g,%.17g{tail}" for i in range(n) for j in range(n)]
     nu = ["%.17g" % v for v in grid.values.tolist()]
-    cols = np.empty(values.shape + (3,), dtype=object)
-    cols[..., 0] = np.array(nu, dtype=object)[:, None, None]
-    cols[..., 1] = values.real
-    cols[..., 2] = values.imag
-    fh.write((block * len(nu)) % tuple(cols.ravel().tolist()))
+
+    def block(a, b):
+        fmt = "".join(v + row for v in nu[a:b] for row in rows)
+        return fmt, np.ascontiguousarray(values[a:b], dtype=complex).view(float).ravel().tolist()
+
+    _write_rows(fh, len(nu), 2 * n * n, block)
 
 
 def _grid_from_columns(nu, i, j, source) -> tuple:

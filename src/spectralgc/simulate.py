@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, UnstableModelError
-from .models import VarmaModel, ar_root_report
+from .models import VarmaModel, _write_rows, ar_root_report
 
 __all__ = ["TimeSeriesPanel", "simulate", "sample_covariance", "save_panel_csv", "load_panel_csv"]
 
@@ -159,10 +159,15 @@ def sample_covariance(panel: TimeSeriesPanel) -> np.ndarray:
 def save_panel_csv(panel: TimeSeriesPanel, path) -> None:
     """Write ``t, x1, .., xN`` rows plus the JSON metadata sidecar."""
     path = Path(path)
-    header = "t," + ",".join(f"x{i + 1}" for i in range(panel.n_channels))
-    table = np.column_stack([np.arange(panel.n_samples), panel.data.T])
-    fmt = ["%d"] + ["%.17g"] * panel.n_channels
-    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt=fmt)
+    n = panel.n_channels
+    row = "%d" + ",%.17g" * n + "\n"
+
+    def block(a, b):
+        return row * (b - a), np.column_stack([np.arange(a, b), panel.data[:, a:b].T]).ravel().tolist()
+
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
+        _write_rows(fh, panel.n_samples, n + 1, block)
     with open(path.with_suffix(".json"), "w") as fh:
         json.dump(panel.meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

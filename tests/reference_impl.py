@@ -268,6 +268,14 @@ def save_field_csv_rows(fields, path):
                         )
 
 
+def save_panel_csv_savetxt(panel, path):
+    """Panel CSV rows through ``np.savetxt`` over the whole ``t, x1, .., xN`` table (no sidecar)."""
+    header = "t," + ",".join(f"x{i + 1}" for i in range(panel.n_channels))
+    table = np.column_stack([np.arange(panel.n_samples), panel.data.T])
+    fmt = ["%d"] + ["%.17g"] * panel.n_channels
+    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt=fmt)
+
+
 def det_polynomial_leibniz(entry_coeffs):
     """Determinant of a matrix polynomial by the Leibniz expansion over all N! permutations.
 

@@ -309,6 +309,18 @@ def test_field_csv_roundtrip(tmp_path):
     assert by_kind["tPDC"].method_tag == "theory"
 
 
+@pytest.mark.parametrize("tag", ["", "1", "nan"])
+def test_field_csv_roundtrip_keeps_tags_that_look_like_numbers(tmp_path, tag):
+    # every row carries the tag, so no other value tells a parser the column holds text
+    fields = [total_pdc(_factor(2), method_tag=tag), total_dtf(_factor(2), method_tag=tag)]
+    path = tmp_path / "fields.csv"
+    save_field_csv(fields, path)
+    loaded = {(f.kind, f.method_tag): f for f in load_field_csv(path)}
+    assert set(loaded) == {("tPDC", tag), ("tDTF", tag)}
+    assert np.array_equal(loaded[("tPDC", tag)].values, fields[0].values)
+    assert np.array_equal(loaded[("tDTF", tag)].values, fields[1].values)
+
+
 def test_field_csv_with_shuffled_rows_rejected(tmp_path):
     # rows 1 and 2 are the (1, 2) and (2, 1) entries of the first frequency
     path = tmp_path / "fields.csv"
@@ -341,6 +353,10 @@ def test_field_csv_bytes_match_row_writer(tmp_path):
         fields.append(ConnectivityField(grid, values, "tPDC", f"m{n}"))
         fields.append(ConnectivityField(grid, rng.normal(size=shape), "tDTF", "real-only"))
     fields.append(ConnectivityField(grid, -np.zeros((grid.one_sided_count, 2, 2)), "DC", ""))
+    # 513 frequencies of 7 x 7 entries span several of the writer's blocks
+    wide = FrequencyGrid(1024)
+    shape = (wide.one_sided_count, 7, 7)
+    fields.append(ConnectivityField(wide, rng.normal(size=shape) + 1j * rng.normal(size=shape), "tPDC", "wide"))
     save_field_csv(fields, tmp_path / "new.csv")
     ref.save_field_csv_rows(fields, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

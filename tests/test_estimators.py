@@ -198,6 +198,18 @@ def test_degenerate_panel_rejected():
         fit_var(TimeSeriesPanel(data), p_max=5)
 
 
+@pytest.mark.parametrize(
+    "fit",
+    [lambda p: fit_var(p, p_max=5), lambda p: fit_vma(p, 1), lambda p: fit_varma(p, 1, 1)],
+    ids=["var", "vma", "varma"],
+)
+def test_constant_channel_with_rounded_variance_rejected(fit):
+    # np.var of a channel equal to 0.1 everywhere is 1.9e-34, not zero
+    data = np.vstack([np.random.default_rng(0).standard_normal(4096), np.full(4096, 0.1)])
+    with pytest.raises(DegeneratePanelError, match="x2"):
+        fit(TimeSeriesPanel(data))
+
+
 def test_rank_deficient_regressors_rejected():
     x1 = np.random.default_rng(1).standard_normal(4096)
     panel = TimeSeriesPanel(np.vstack([x1, x1]))  # duplicated channel

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -259,13 +260,13 @@ def test_process_pool_writes_the_same_bundle(tmp_path):
 
 def test_process_pool_is_clamped_to_the_work(tmp_path, monkeypatch):
     requested = []
-    real_pool = experiments.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def recording_pool(max_workers):
         requested.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     fields = {}
     for n_jobs in (1, 8):
         summary = run_example(_spec(tmp_path, example_id=1, n_realizations=6, n_jobs=n_jobs))

@@ -20,6 +20,7 @@ from spectralgc import (
     save_panel_csv,
     simulate,
 )
+from spectralgc.models import BLOCK_BYTES
 from spectralgc.simulate import BLOCK_LEN
 
 
@@ -92,6 +93,20 @@ def test_panel_csv_roundtrip(tmp_path):
     assert sidecar["seed"] == 17
     assert sidecar["burn_in"] == 1000
     assert sidecar["model_hash"] == model.content_hash()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_panel_csv_bytes_match_savetxt(tmp_path, n):
+    rows_per_block = BLOCK_BYTES // (64 * (n + 1))
+    rng = np.random.default_rng(n)
+    # below one block, exactly one, and not a multiple of one
+    for n_samples in (5, rows_per_block, 2 * rows_per_block + 3):
+        data = rng.normal(size=(n, n_samples))
+        data[:, :2] = [-0.0, 1e-300]
+        panel = TimeSeriesPanel(data)
+        save_panel_csv(panel, tmp_path / "new.csv")
+        ref.save_panel_csv_savetxt(panel, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_panel_csv_rejects_malformed(tmp_path):

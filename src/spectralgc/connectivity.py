@@ -85,7 +85,8 @@ class ConnectivityField:
 
     ``values`` has shape ``(grid.one_sided_count, N, N)``; entry
     ``(i, j)`` quantifies the influence of channel ``j`` on channel
-    ``i`` at each frequency.
+    ``i`` at each frequency.  ``method_tag`` is written as a bare CSV
+    column, so it may not contain a comma or a line break.
     """
 
     grid: FrequencyGrid
@@ -97,6 +98,8 @@ class ConnectivityField:
         self.values = np.asarray(self.values)
         if self.kind not in FIELD_KINDS:
             raise ConfigError(f"unknown field kind {self.kind!r}; expected one of {FIELD_KINDS}")
+        if any(c in self.method_tag for c in ",\n\r"):
+            raise ConfigError(f"method tag {self.method_tag!r} contains a comma or a line break")
         _check_leading_axis(self.values, self.grid, "field")
         if not np.all(np.isfinite(self.values)):
             raise NumericalError(f"{self.kind} field contains non-finite values")

@@ -21,7 +21,9 @@ Short realizations are simulated and fitted in groups, sized by
 lattice; the measurements behind the rule are at
 ``estimators._nuttall_strand``.  Each realization's results are
 bit-identical to fitting it alone, and a group is one task of the
-process pool.
+process pool.  Each group is scored as it returns and then dropped, so
+a run holds one group's fields plus realization 0's, the only ones
+written, and its memory does not grow with the number of realizations.
 
 Every source gets its default methods and orders from one rule (see
 :func:`_resolve_methods_and_orders`); a data panel has no generator and
@@ -102,10 +104,14 @@ class ExperimentSpec:
             raise ConfigError(f"need at least one realization, got {self.n_realizations}")
         if self.n_jobs < 1:
             raise ConfigError(f"need at least one job, got {self.n_jobs}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
         _check_segment_len(self.segment_len)
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"each method may be given once, got {self.methods}")
         if self.orders is not None:
             try:
                 p, q = (int(o) for o in self.orders)
@@ -316,8 +322,41 @@ def _write_bundle(
     return summary
 
 
+def _score_group(group, methods, refs, mse, band_sums) -> None:
+    """Append each realization's tPDC MSE to ``mse`` and add its band mean to ``band_sums``."""
+    for tpdc_fields, _, _ in group:
+        for m in methods:
+            est = tpdc_fields[m]
+            ref = refs["theory-wn"][0] if m == "wn" else refs["theory"][0]
+            mse[m].append(mse_vs_reference(est, ref))
+            band = est.values[:-1].real.mean(axis=0)
+            band_sums[m] = band if band_sums[m] is None else band_sums[m] + band
+
+
+def _fold_groups(per_group, methods, refs, mse, band_sums):
+    """Score the groups as they arrive, in realization order; returns realization 0's triple.
+
+    A group is dropped once scored, before the next one is taken from
+    ``per_group``, so the fold keeps no fields but realization 0's.
+    """
+    r0_fields = None
+    for group in per_group:
+        if r0_fields is None:
+            r0_fields = group[0]
+        _score_group(group, methods, refs, mse, band_sums)
+        del group
+    return r0_fields
+
+
 def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
-    """Run the Monte Carlo protocol on ``model`` and write its bundle; returns the summary."""
+    """Run the Monte Carlo protocol on ``model`` and write its bundle; returns the summary.
+
+    Each group is scored as soon as it returns, in realization order, and
+    then dropped: the run holds one group's fields plus realization 0's
+    ``(tPDC, tDTF, orders)`` triple, which is all the bundle writes,
+    however many realizations run.  With a pool, a group that a worker
+    returns before its turn waits in its future until it is scored.
+    """
     methods, vma_q, varma_pq = _resolve_methods_and_orders(spec, model)
     refs = _reference_fields(model, spec)
 
@@ -335,24 +374,17 @@ def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_group = list(pool.map(_realization_fields, *zip(*args)))
+            per_group = pool.map(_realization_fields, *zip(*args))
+            r0_fields = _fold_groups(per_group, methods, refs, mse, mean_real)
     else:
-        per_group = [_realization_fields(*a) for a in args]
-    outputs = [fields for group in per_group for fields in group]
-
-    for tpdc_fields, _, _ in outputs:
-        for m in methods:
-            est = tpdc_fields[m]
-            ref = refs["theory-wn"][0] if m == "wn" else refs["theory"][0]
-            mse[m].append(mse_vs_reference(est, ref))
-            band = est.values[:-1].real.mean(axis=0)
-            mean_real[m] = band if mean_real[m] is None else mean_real[m] + band
+        per_group = (_realization_fields(*a) for a in args)
+        r0_fields = _fold_groups(per_group, methods, refs, mse, mean_real)
 
     for m in methods:
         mean_real[m] /= spec.n_realizations
 
     spurious_entries = _spurious_links(refs["theory"][0], mean_real)
-    return _write_bundle(spec, model, methods, refs, mse, outputs[0], spurious_entries)
+    return _write_bundle(spec, model, methods, refs, mse, r0_fields, spurious_entries)
 
 
 def run_example(spec: ExperimentSpec) -> dict:

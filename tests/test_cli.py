@@ -43,6 +43,20 @@ def test_zero_jobs_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_duplicate_method_exits_two(tmp_path, capsys):
+    rc = main(["example", "1", "--methods", "var,var"] + _common(tmp_path))
+    assert rc == 2
+    assert "each method may be given once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_exits_two(tmp_path, capsys):
+    rc = main(["example", "1", "--seed", "-3"] + _common(tmp_path))
+    assert rc == 2
+    assert "error: base_seed must be non-negative, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_samples_exits_two(tmp_path, capsys):
     # rejected by the spec, before the lattice group size divides by n_s
     argv = ["example", "1", "--ns", "0", "--realizations", "1", "--out", str(tmp_path / "out")]

@@ -321,6 +321,13 @@ def test_field_csv_roundtrip_keeps_tags_that_look_like_numbers(tmp_path, tag):
     assert np.array_equal(loaded[("tDTF", tag)].values, fields[1].values)
 
 
+@pytest.mark.parametrize("tag", ["a,b", "a\nb", "a\rb"])
+def test_tag_that_would_break_a_csv_row_rejected(tag):
+    # written bare, "a,b" used to read back as "a" and "a\nb" made the file unreadable
+    with pytest.raises(ConfigError, match="method tag"):
+        total_pdc(_factor(2), method_tag=tag)
+
+
 def test_field_csv_with_shuffled_rows_rejected(tmp_path):
     # rows 1 and 2 are the (1, 2) and (2, 1) entries of the first frequency
     path = tmp_path / "fields.csv"

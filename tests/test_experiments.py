@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import hashlib
 import json
 import os
@@ -70,6 +71,10 @@ def test_spec_validation():
     for n_jobs in (0, -4):
         with pytest.raises(ConfigError, match="job"):
             ExperimentSpec(example_id=1, n_jobs=n_jobs)
+    with pytest.raises(ConfigError, match="once"):
+        ExperimentSpec(example_id=1, methods=("var", "wn", "var"))
+    with pytest.raises(ConfigError, match="base_seed"):
+        ExperimentSpec(example_id=1, base_seed=-3)
 
 
 def test_run_example_requires_example_id():
@@ -295,6 +300,26 @@ def test_realization_retains_no_panel(monkeypatch):
     fields = experiments._realization_fields(model, spec, methods, vma_q, varma_pq, [0, 1])
     assert len(refs) == 3 and all(ref() is None for ref in refs)
     assert len(fields) == 2 and all(set(f[0]) == set(methods) for f in fields)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_bundle_is_written_with_only_realization_0_fields_alive(tmp_path, monkeypatch, n_jobs):
+    # eight realizations are two groups of four; each realization fits three tPDC fields
+    live = []
+    real_save = experiments.save_field_csv
+
+    def counting_save(fields, path):
+        gc.collect()
+        live.append(sum(
+            1 for obj in gc.get_objects()
+            if isinstance(obj, experiments.ConnectivityField)
+            and obj.kind == "tPDC" and obj.method_tag in ("var", "vma", "wn")
+        ))
+        real_save(fields, path)
+
+    monkeypatch.setattr(experiments, "save_field_csv", counting_save)
+    run_example(_spec(tmp_path, example_id=1, n_realizations=8, n_jobs=n_jobs))
+    assert live == [3]
 
 
 # ------------------------------------------------------------ default methods

@@ -91,41 +91,23 @@ def _solve_sylvester(gram, cov, c):
     return right @ np.array((y, y.swapaxes(1, 2))).swapaxes(0, 1) @ left[:, ::-1]
 
 
-def _advance(update, src, dst, span: int, shift: int) -> None:
-    """Apply ``[[I, -A_m], [-B_m, I]]`` to the columns ``:span`` of ``src``, writing ``dst``.
+def _edge_windows(x: np.ndarray, cap: int) -> np.ndarray:
+    """``E``, the zero-padded windows at each panel's edges: ``(R, (cap + 1) N, 2 cap)``.
 
-    The forward rows land in the same columns, the backward rows
-    ``shift`` columns to the right.  ``src`` and ``dst`` are the two
-    buffers of a pair, so matmul writes in place.
-    """
-    n = update.shape[-1] // 2
-    np.matmul(update[..., :n, :], src[..., :span], out=dst[..., :n, :span])
-    np.matmul(update[..., n:, :], src[..., :span], out=dst[..., n:, shift : span + shift])
-
-
-def _edge_errors(x: np.ndarray, cap: int, history) -> np.ndarray:
-    """Buffer pair of the lattice errors at each panel's edges, for stages up to ``cap``.
-
-    The lattice runs on ``y = [x(0..cap-1), x(n_samp-cap..n_samp-1), 0, ..., 0]``
-    (``3 cap`` samples, zero before its start): buffer column p holds
-    ``[ef(p); eb(p - 1)]`` of ``y``.  While ``m <= cap``, columns ``:m`` and
-    ``2 cap:2 cap + m`` are the order-m errors of the zero-padded ``x`` at
-    ``t = 0..m-1`` and ``t = n_samp..n_samp+m-1``: no window that ends
-    there reaches back across a seam of ``y``.  The updates in ``history``
-    (one per stage already run) are replayed, so the next stage reads
-    buffer ``len(history) % 2``.
+    Columns ``2 t`` and ``2 t + 1`` hold ``X(t)`` and ``X(n_samp + t)``,
+    ``X(t) = [x(t); ...; x(t - cap)]`` with ``x = 0`` outside the record,
+    for ``t = 0..cap-1``; so rows ``:(m + 1) N`` of columns ``:2 m`` are
+    the order-m windows at both edges.
     """
     r, n, n_samp = x.shape
     span = min(cap, n_samp)
-    y = np.zeros((r, n, 3 * cap))
-    y[:, :, :span] = x[:, :, :span]
-    y[:, :, 2 * cap - span : 2 * cap] = x[:, :, n_samp - span :]
-    bufs = np.zeros((2, r, 2 * n, 3 * cap + 1))
-    bufs[0, :, :n, :-1] = y
-    bufs[0, :, n:, 1:] = y
-    for k, update in enumerate(history):
-        _advance(update, bufs[k % 2], bufs[(k + 1) % 2], 3 * cap, 1)
-    return bufs
+    u = np.zeros((r, n, 2 * cap, 2))  # [..., 0] the head edge, [..., 1] the tail edge
+    u[:, :, cap : cap + span, 0] = x[:, :, :span]
+    u[:, :, cap - span : cap, 1] = x[:, :, n_samp - span :]
+    # window [r, i, t, edge, k] = u[r, i, t + cap - k, edge], which is x(t - k) at the
+    # head edge and x(n_samp + t - k) at the tail edge
+    windows = np.lib.stride_tricks.sliding_window_view(u, cap + 1, axis=2)[..., ::-1]
+    return windows.transpose(0, 4, 1, 2, 3).reshape(r, (cap + 1) * n, 2 * cap)
 
 
 def _lattice_stages(x: np.ndarray):
@@ -147,18 +129,18 @@ def _lattice_stages(x: np.ndarray):
     ``C_{j-i}``, the full-range lag products ``C_k = Σ_s x(s + k) x(s)ᵀ``
     (``C_{-k} = C_kᵀ``), and ``E`` holds the zero-padded windows ``X(t)``
     at ``t = 0..m-1`` and ``t = n_samp..n_samp+m-1`` that the full range
-    adds.  Neither is formed.  ``W T`` is carried along with ``W``: the
-    update ``[[I, -A_m], [-B_m, I]]`` maps both to the next order, and
-    each row gains one block, ``[I, -A_m] W`` times ``[C_{m+1}; ...; C_1]``
-    and ``[-B_m, I] W`` times ``[C_1ᵀ; ...; C_{m+1}ᵀ]``.  ``W E`` are the
-    lattice's own errors at the edges, run on a few samples there (see
-    :func:`_edge_errors`).  The lag product is the only pass over the
-    samples, so a stage costs O(N² n_samp + m N³) where filtering the data
-    would take three O(N² n_samp) products.  ``W`` and ``W T`` share a buffer
-    pair, the backward row one block to the right of the forward row.
-    The operators hold orders up to a capacity of 64, doubled (and the
-    edge lattice replayed) when a stage passes it.  The AR blocks are
-    read off the forward filter.
+    adds.  ``T`` is never formed, and ``E`` is built from the samples once
+    (see :func:`_edge_windows`), so ``W E`` is one product on a view of it.
+    ``W T`` is carried along with ``W``: the update ``[[I, -A_m], [-B_m, I]]``
+    maps both to the next order, and each row gains one block,
+    ``[I, -A_m] W`` times ``[C_{m+1}; ...; C_1]`` and ``[-B_m, I] W`` times
+    ``[C_1ᵀ; ...; C_{m+1}ᵀ]``.  The lag product is the only pass over the
+    samples, so a stage costs O(N² n_samp + m N³ + m² N²) where filtering
+    the data would take three O(N² n_samp) products.  ``W`` and ``W T``
+    share a buffer pair, the backward row one block to the right of the
+    forward row.  The operators hold orders up to a capacity of 64; when a
+    stage passes it, the capacity doubles and ``E`` is rebuilt for it.
+    The AR blocks are read off the forward filter.
 
     At N = 2-3 a stage's cost is the number of numpy calls, not
     arithmetic, so every call runs once for all R panels and for both
@@ -185,8 +167,7 @@ def _lattice_stages(x: np.ndarray):
     filters = np.zeros((2, r, 2, 2 * n, (cap + 2) * n))
     filters[0, :, 0, :n, :n] = filters[0, :, 0, n:, n : 2 * n] = eye
     filters[0, :, 1, :n, :n] = filters[0, :, 1, n:, n : 2 * n] = c0
-    history = []  # each stage's update, replayed when the edge lattice grows
-    edges = _edge_errors(x, cap, history)
+    edges = _edge_windows(x, cap)
     m = 0
     while True:
         m += 1
@@ -194,7 +175,7 @@ def _lattice_stages(x: np.ndarray):
             lags = np.pad(lags, ((0, 0), (cap * n, cap * n), (0, 0)))
             filters = np.pad(filters, ((0, 0),) * 4 + ((0, cap * n),))
             cap *= 2
-            edges = _edge_errors(x, cap, history)
+            edges = _edge_windows(x, cap)
         width = (m + 1) * n
         w, wt = filters[(m - 1) % 2, :, 0], filters[(m - 1) % 2, :, 1]
         lag = lags[:, (cap - m) * n : (cap - m + 1) * n]
@@ -203,8 +184,7 @@ def _lattice_stages(x: np.ndarray):
         # the blocks W T gains at order m: its last forward one and its first backward one
         np.matmul(w[:, :n, : m * n], lags[:, (cap - m) * n : cap * n], out=wt[:, :n, m * n : width])
         np.matmul(w[:, n:, n:width], lags[:, (cap + 1) * n : (cap + m + 1) * n], out=wt[:, n:, :n])
-        e = edges[(m - 1) % 2]
-        z = np.concatenate((e[:, :, :m], e[:, :, 2 * cap : 2 * cap + m]), axis=2)  # W E
+        z = w[:, :, :width] @ edges[:, :width, : 2 * m]  # W E
         g = wt[:, :, :width] @ w[:, :, :width].swapaxes(1, 2) - z @ z.swapaxes(1, 2)
         gram = g.reshape(r, 2, n, 2, n).diagonal(0, 1, 3).transpose(0, 3, 1, 2)  # [pfh, pbh], a view
         try:
@@ -214,9 +194,10 @@ def _lattice_stages(x: np.ndarray):
         P = (eye - ab @ ab[:, ::-1]) @ P  # [(I - A_m B_m) pf, (I - B_m A_m) pb]
         P = 0.5 * (P + P.swapaxes(2, 3))
         update[:, :n, n:], update[:, n:, :n] = -ab.swapaxes(0, 1)
-        history.append(update.copy())
-        _advance(update[:, None], filters[(m - 1) % 2], filters[m % 2], width, n)
-        _advance(update, e, edges[m % 2], 3 * cap, 1)
+        # the forward rows stay in their columns, the backward rows move one block right
+        src, dst = filters[(m - 1) % 2, ..., :width], filters[m % 2]
+        np.matmul(update[:, None, :n], src, out=dst[..., :n, :width])
+        np.matmul(update[:, None, n:], src, out=dst[..., n:, n : width + n])
         # the forward filter is [I, -F_1, ..., -F_m]; a fresh array, never written again
         yield -filters[m % 2, :, 0, :n, n:width].reshape(r, n, m, n).swapaxes(1, 2), P[:, 0]
 
@@ -275,15 +256,16 @@ def _nuttall_strand(panel: TimeSeriesPanel, p_max: int) -> list:
     group and extend it together, one batched stage for all of them; a
     panel fitted alone is a group of one.  A stage reads the samples only
     through one lag product per member; what a member keeps between stages
-    is its filters, the edge lattice and the lag products, about
-    ``(660 + 4p) N² + 770 N`` doubles after p stages whatever n_s (40 KB
-    at N = 2, p = 50).  A Monte Carlo run groups ``max(1, 8192 // (N n_s))``
-    realizations, four on example 1 at n_s = 1024.  In five rounds of the
-    benchmark's mc-ex1-short workload (32 realizations a call, 1 BLAS
-    thread) groups of 4, 16 and 32 took a median 0.270, 0.244 and 0.224 s
-    a call, gaps smaller than the quartile spread of groups of four
-    (0.259-0.345 s), while peak RSS rose from 44.5 to 46.2 and 48.8 MB;
-    so the smallest group stays.
+    is its filters, the lag products and the edge windows ``E``, about
+    ``660 N² + 8320 N`` doubles for any p up to 64 and any n_s (154 KB at
+    N = 2, 133 KB of it ``E``).  A Monte Carlo run groups
+    ``max(1, 8192 // (N n_s))`` realizations, four on example 1 at
+    n_s = 1024.  In five rounds of the benchmark's mc-ex1-short workload
+    (32 realizations a call, 1 BLAS thread) groups of 4, 16 and 32 took a
+    median 0.270, 0.244 and 0.224 s a call, gaps smaller than the quartile
+    spread of groups of four (0.259-0.345 s), while peak RSS rose from 44.5
+    to 46.2 and 48.8 MB, before ``E`` added its 133 KB a member; so the
+    smallest group stays.
 
     A stage that fails spends its group for every member.  Each member's
     own next fit, under its own lock, drops the spent group from its memo

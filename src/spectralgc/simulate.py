@@ -196,6 +196,11 @@ def load_panel_csv(path) -> TimeSeriesPanel:
     meta = {}
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
-        with open(sidecar) as fh:
-            meta = json.load(fh)
+        try:
+            with open(sidecar) as fh:
+                meta = json.load(fh)
+        except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise ConfigError(f"cannot read panel sidecar {sidecar}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{sidecar}: panel sidecar must hold a JSON object, got {type(meta).__name__}")
     return TimeSeriesPanel(rows[:, 1:].T, meta)

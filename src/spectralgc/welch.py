@@ -8,6 +8,8 @@ layout the spectral factorization routine takes.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .errors import ConfigError
@@ -91,9 +93,14 @@ def save_spectrum_csv(spectrum: SpectralMatrix, path) -> None:
 def load_spectrum_csv(path) -> SpectralMatrix:
     """Inverse of :func:`save_spectrum_csv`; other row layouts raise ``ConfigError``."""
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=range(5))
+        with warnings.catch_warnings():
+            # an empty table is reported below, not as numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=range(5))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read spectrum file {path}: {exc}") from exc
+    if rows.size == 0:
+        raise ConfigError(f"{path}: no data rows after the header")
     grid, n = _grid_from_columns(rows[:, 0], rows[:, 1], rows[:, 2], path)
     values = (rows[:, 3] + 1j * rows[:, 4]).reshape(-1, n, n)
     return SpectralMatrix(grid, values)

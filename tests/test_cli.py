@@ -118,6 +118,17 @@ def test_analyze_subcommand(tmp_path, capsys):
     assert (tmp_path / "out" / "fields.csv").exists()
 
 
+@pytest.mark.parametrize("sidecar", [pytest.param("{bad", id="not-json"), pytest.param("[1, 2]", id="list")])
+def test_analyze_with_malformed_sidecar_exits_two_and_names_it(tmp_path, capsys, sidecar):
+    csv_path = tmp_path / "panel.csv"
+    save_panel_csv(simulate(example_model(1), 1024, seed=2), csv_path)
+    (tmp_path / "panel.json").write_text(sidecar)
+    rc = main(["analyze", str(csv_path), "--methods", "var", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{tmp_path / 'panel.json'}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("seg_len", ["255", "0"])
 @pytest.mark.parametrize("command", ["example", "analyze"])
 def test_bad_segment_length_exits_two_and_names_it(tmp_path, capsys, command, seg_len):

@@ -544,11 +544,14 @@ def _random_panel(n, n_samples, seed):
 # comes from loses digits: the shortest panels the fits accept (N p_max + 2
 # samples for fit_var, 4 (50 + q) for fit_vma) are fitted nearly to their
 # noise floor, and example 1's unit-circle MA zero gives long, slowly decaying
-# filters.  Over seeds 0-11 the largest deviations were 2.1e-13 (ex2, 16384),
-# 7.5e-14 (N = 7, 16384), 1.2e-11 (ex2, 152), 1.9e-12 (N = 7, 352), 6.8e-13
-# (ex2, 280), 1.4e-11 (ex1, 102) and 1.6e-12 (ex1, 16384); the error-domain
+# filters.  Over seeds 0-11 the largest deviations were 2.0e-13 (ex2, 16384),
+# 6.3e-14 (N = 7, 16384), 1.2e-11 (ex2, 152), 2.3e-12 (N = 7, 352), 7.7e-13
+# (ex2, 280), 1.3e-11 (ex1, 102) and 1.6e-12 (ex1, 16384); the error-domain
 # lattice stays within 1.1e-13 on all of them.  Order 140 passes the
-# operators' capacity twice.
+# operators' capacity twice.  Example 2 with 20, 40, 64 and 65 samples (p 8,
+# 15, 30, 30) is shorter than the 64 samples each edge window spans, as long,
+# or one sample longer: at seed 0 those deviate by 1.4e-12, 2.5e-12, 1.3e-11
+# and 8.6e-12, over seeds 0-11 by at most 5.5e-11 (64 samples, p = 30).
 EXTREME_LATTICES = {
     "ex2-16384": (lambda: simulate(example_model(2), 16384, seed=0), 50, 1e-12),
     "n7-16384": (lambda: _random_panel(7, 16384, 0), 50, 1e-12),
@@ -558,6 +561,10 @@ EXTREME_LATTICES = {
     "ex1-shortest-var": (lambda: simulate(example_model(1), 2 * 50 + 2, seed=0), 50, 5e-11),
     "ex1-16384": (lambda: simulate(example_model(1), 16384, seed=0), 50, 1e-11),
     "n2-order-140": (lambda: _random_panel(2, 2048, 0), 140, 1e-12),
+    "ex2-20": (lambda: simulate(example_model(2), 20, seed=0), 8, 5e-11),
+    "ex2-40": (lambda: simulate(example_model(2), 40, seed=0), 15, 5e-11),
+    "ex2-64": (lambda: simulate(example_model(2), 64, seed=0), 30, 5e-11),
+    "ex2-65": (lambda: simulate(example_model(2), 65, seed=0), 30, 5e-11),
 }
 
 
@@ -567,15 +574,38 @@ def test_lattice_matches_per_block_reference_at_the_extremes(case):
     _assert_matches_reference(make(), p_max, bound, case)
 
 
-def test_lattice_group_past_capacity_matches_lone_panels():
-    # the edge lattice is replayed when the operators grow; grouped stages stay bit-identical
-    panels = [_random_panel(2, 2048, s) for s in range(3)]
+@pytest.mark.parametrize(
+    "n_samples, p_max",
+    [pytest.param(2048, 140, id="n2048-order140"), pytest.param(40, 19, id="n40-order19")],
+)
+def test_lattice_group_past_capacity_matches_lone_panels(n_samples, p_max):
+    # the edge windows are rebuilt when the operators grow past 64, and hold the
+    # whole record of a shorter panel; grouped stages stay bit-identical either way
+    panels = [_random_panel(2, n_samples, s) for s in range(3)]
     estimators._join_lattice(panels)
     for panel in panels:
-        got = estimators._nuttall_strand(panel, 140)
-        alone = estimators._nuttall_strand(_fresh(panel), 140)
+        got = estimators._nuttall_strand(panel, p_max)
+        alone = estimators._nuttall_strand(_fresh(panel), p_max)
+        assert len(got) == len(alone) == p_max + 1
         for m, ((ar, cov), (ar_alone, cov_alone)) in enumerate(zip(got, alone)):
             assert np.array_equal(ar, ar_alone) and np.array_equal(cov, cov_alone), m
+
+
+@pytest.mark.parametrize("cap, n_samples", [(8, 1), (8, 5), (8, 8), (8, 13), (64, 40), (64, 64), (64, 65), (64, 300)])
+def test_edge_windows_layout(cap, n_samples):
+    """Column 2t holds X(t) and column 2t + 1 holds X(n_s + t), X(t) = [x(t); ...; x(t - cap)], zero off the record."""
+    rng = np.random.default_rng(cap + n_samples)
+    for r in (1, 2, 3):
+        for n in (1, 2, 3):
+            x = rng.standard_normal((r, n, n_samples))
+            want = np.zeros((r, (cap + 1) * n, 2 * cap))
+            for t in range(cap):
+                for edge, start in enumerate((0, n_samples)):
+                    for k in range(cap + 1):
+                        if 0 <= start + t - k < n_samples:
+                            want[:, k * n : (k + 1) * n, 2 * t + edge] = x[:, :, start + t - k]
+            got = estimators._edge_windows(x, cap)
+            assert got.shape == want.shape and np.array_equal(got, want), (r, n)
 
 
 @pytest.mark.parametrize("n", range(1, 17))

@@ -129,6 +129,31 @@ def test_panel_csv_without_rows_rejected_without_a_warning(tmp_path, body):
             load_panel_csv(path)
 
 
+def _write_sidecar(tmp_path, body):
+    """A valid panel CSV whose ``.json`` sidecar is ``body`` (text) or, for ``None``, a directory."""
+    path = tmp_path / "panel.csv"
+    save_panel_csv(simulate(example_model(1), 256, seed=3), path)
+    sidecar = tmp_path / "panel.json"
+    sidecar.unlink()
+    if body is None:
+        sidecar.mkdir()
+    else:
+        sidecar.write_text(body)
+    return path
+
+
+@pytest.mark.parametrize("body, match", [
+    pytest.param("{bad", "cannot read panel sidecar", id="not-json"),
+    pytest.param("[1, 2]", "must hold a JSON object, got list", id="list"),
+    pytest.param(None, "cannot read panel sidecar", id="unreadable"),
+])
+def test_malformed_panel_sidecar_rejected(tmp_path, body, match):
+    path = _write_sidecar(tmp_path, body)
+    with pytest.raises(ConfigError, match=match) as info:
+        load_panel_csv(path)
+    assert "panel.json" in str(info.value)
+
+
 def test_panel_data_is_read_only():
     panel = simulate(_identity_model(), 256, seed=2)
     with pytest.raises(ValueError):

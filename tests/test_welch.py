@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,15 @@ def test_spectrum_csv_with_shuffled_rows_rejected(tmp_path):
     path.write_text("\n".join([header, *rows]) + "\n")
     with pytest.raises(ConfigError, match="nu, i, j"):
         load_spectrum_csv(path)
+
+
+def test_header_only_spectrum_csv_rejected_without_a_warning(tmp_path):
+    path = tmp_path / "spectrum.csv"
+    path.write_text("nu,i,j,re,im\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not escape
+        with pytest.raises(ConfigError, match="no data rows after the header"):
+            load_spectrum_csv(path)
 
 
 def test_two_sided_spectrum_csv_rejected(tmp_path):

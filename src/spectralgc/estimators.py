@@ -171,6 +171,9 @@ def _lattice_stages(x: np.ndarray):
     m = 0
     while True:
         m += 1
+        if m >= n_samp:
+            # the lag product C_m needs m < n_samp; a negative slice stop would wrap
+            raise NumericalError(f"Nuttall-Strand stage {m} is past order n_s - 1 = {n_samp - 1}")
         if m > cap:
             lags = np.pad(lags, ((0, 0), (cap * n, cap * n), (0, 0)))
             filters = np.pad(filters, ((0, 0),) * 4 + ((0, cap * n),))

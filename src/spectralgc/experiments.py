@@ -21,9 +21,16 @@ Short realizations are simulated and fitted in groups, sized by
 lattice; the measurements behind the rule are at
 ``estimators._nuttall_strand``.  Each realization's results are
 bit-identical to fitting it alone, and a group is one task of the
-process pool.  Each group is scored as it returns and then dropped, so
-a run holds one group's fields plus realization 0's, the only ones
-written, and its memory does not grow with the number of realizations.
+process pool.
+
+A run's serial work overlaps its pool: every group is submitted, then
+the parent computes the reference fields while the workers fit.  The
+groups are scored in realization order as they return and then dropped;
+realization 0's fields, the only ones written, go to disk as soon as its
+group is scored, so a run's memory does not grow with the number of
+realizations.  The summary and the MSE tables follow the last group.  A
+serial run does the same work in the same order.  Warnings raised while
+fitting, in a worker or not, reach the caller in realization order.
 
 Every source gets its default methods and orders from one rule (see
 :func:`_resolve_methods_and_orders`); a data panel has no generator and
@@ -32,9 +39,11 @@ counts as p = q = 0.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -232,15 +241,20 @@ def _panel_fields(
 def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q, varma_pq, rs):
     """Simulate realizations ``rs`` as one lattice group and fit every method to each.
 
-    Returns one ``(tPDC, tDTF, orders)`` triple per realization, in order;
-    only realization 0 gets tDTF fields.
+    Returns one ``(tPDC, tDTF, orders)`` triple per realization, in order,
+    and the warnings the group raised as ``(category, message, filename,
+    lineno)`` tuples, which pickle, so a pool worker's warnings reach the
+    caller (see :func:`_fold_groups`); only realization 0 gets tDTF fields.
     """
-    panels = [simulate(model, spec.n_samples, spec.base_seed + r) for r in rs]
-    _join_lattice(panels)
-    return [
-        _panel_fields(panel, spec, methods, vma_q, varma_pq, with_dtf=r == 0)
-        for r, panel in zip(rs, panels)
-    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        panels = [simulate(model, spec.n_samples, spec.base_seed + r) for r in rs]
+        _join_lattice(panels)
+        fields = [
+            _panel_fields(panel, spec, methods, vma_q, varma_pq, with_dtf=r == 0)
+            for r, panel in zip(rs, panels)
+        ]
+    return fields, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
 def _reference_fields(model: VarmaModel, spec: ExperimentSpec):
@@ -280,12 +294,14 @@ def _spurious_links(reference: ConnectivityField, per_method_mean: dict):
 
 
 def _write_bundle(
-    spec: ExperimentSpec, model: VarmaModel, methods, refs, mse, r0_fields, spurious_entries
+    spec: ExperimentSpec, model: VarmaModel, methods, orders, mse, spurious_entries, partial: Path
 ) -> dict:
-    """Write ``summary.json``, the MSE tables and ``fields_r0.csv``; returns the summary."""
-    r0_tpdc, r0_tdtf, orders = r0_fields
+    """Write ``summary.json`` and the MSE tables, then rename ``partial`` to ``fields_r0.csv``.
+
+    ``partial`` holds realization 0's fields, written by :func:`_fold_groups`
+    while the later groups ran; it is renamed last.  Returns the summary.
+    """
     out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {
         "config": asdict(spec),
         "config_hash": spec.config_hash(),
@@ -311,14 +327,7 @@ def _write_bundle(
         fh.write("method,mse\n")
         for m in methods:
             fh.write(f"{m},{summary['mse'][m]:.17g}\n")
-
-    fields = []
-    for tag in ("theory", "theory-wn"):
-        fields.extend(refs[tag])
-    for m in methods:
-        fields.append(r0_tpdc[m])
-        fields.append(r0_tdtf[m])
-    save_field_csv(fields, out / "fields_r0.csv")
+    os.replace(partial, out / "fields_r0.csv")
     return summary
 
 
@@ -333,33 +342,56 @@ def _score_group(group, methods, refs, mse, band_sums) -> None:
             band_sums[m] = band if band_sums[m] is None else band_sums[m] + band
 
 
-def _fold_groups(per_group, methods, refs, mse, band_sums):
-    """Score the groups as they arrive, in realization order; returns realization 0's triple.
+def _fold_groups(per_group, methods, refs, mse, band_sums, partial: Path):
+    """Score the groups as they arrive, in realization order; returns realization 0's orders.
 
-    A group is dropped once scored, before the next one is taken from
-    ``per_group``, so the fold keeps no fields but realization 0's.
+    Realization 0's group is scored, its other members are dropped, and
+    realization 0's tPDC and tDTF fields are written with the references
+    to ``partial`` at once, before the next group is taken from
+    ``per_group``; with a pool, the later groups run meanwhile.  Every
+    group is dropped once scored, so the fold holds no fields but one
+    group's.  The warnings each group recorded are re-emitted first, in
+    realization order; under the default filter each distinct one shows
+    once per run.
     """
-    r0_fields = None
-    for group in per_group:
-        if r0_fields is None:
-            r0_fields = group[0]
+    registry = {}
+    orders = None
+    for group, caught in per_group:
+        for category, message, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
         _score_group(group, methods, refs, mse, band_sums)
+        if orders is None:
+            tpdc, tdtf, orders = group[0]
+            del group[1:]  # realization 0's group-mates go before its fields are written
+            partial.parent.mkdir(parents=True, exist_ok=True)
+            save_field_csv(
+                [f for tag in ("theory", "theory-wn") for f in refs[tag]]
+                + [f for m in methods for f in (tpdc[m], tdtf[m])],
+                partial,
+            )
+            del tpdc, tdtf
         del group
-    return r0_fields
+    return orders
 
 
 def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
     """Run the Monte Carlo protocol on ``model`` and write its bundle; returns the summary.
 
-    Each group is scored as soon as it returns, in realization order, and
-    then dropped: the run holds one group's fields plus realization 0's
-    ``(tPDC, tDTF, orders)`` triple, which is all the bundle writes,
-    however many realizations run.  With a pool, a group that a worker
-    returns before its turn waits in its future until it is scored.
+    With a pool every group is submitted first, and the parent computes
+    the reference fields while the workers fit.  The groups are then
+    folded in realization order (see :func:`_fold_groups`): realization
+    0's fields are written to ``fields_r0.csv.partial`` as soon as its
+    group is scored, and each group is dropped once scored, so the run
+    holds one group's fields, however many realizations run; a group that
+    a worker returns before its turn waits in its future.  The summary
+    and MSE tables follow the last group, and the partial file is renamed
+    to ``fields_r0.csv`` last.  The serial run takes the same steps in the
+    same order, each group fitted when the fold asks for it.
+
+    Any exception cancels the groups that have not started, removes the
+    partial file and leaves an earlier bundle's ``fields_r0.csv`` in place.
     """
     methods, vma_q, varma_pq = _resolve_methods_and_orders(spec, model)
-    refs = _reference_fields(model, spec)
-
     mse = {m: [] for m in methods}
     mean_real = {m: None for m in methods}
 
@@ -368,23 +400,30 @@ def _run_monte_carlo(model: VarmaModel, spec: ExperimentSpec) -> dict:
     args = [(model, spec, methods, vma_q, varma_pq, rs) for rs in groups]
     # clamped here, not in the spec, so the recorded config stays machine-independent
     workers = min(spec.n_jobs, len(groups), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here, not at the top: the pool brings in multiprocessing
-        # (1.2-1.6 MB of resident memory), which serial runs and analyze never use
-        from concurrent.futures import ProcessPoolExecutor
+    partial = Path(spec.out_dir) / "fields_r0.csv.partial"
+    try:
+        with contextlib.ExitStack() as stack:
+            if workers > 1:
+                # imported here, not at the top: the pool brings in multiprocessing
+                # (1.2-1.6 MB of resident memory), which serial runs and analyze never use
+                from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_group = pool.map(_realization_fields, *zip(*args))
-            r0_fields = _fold_groups(per_group, methods, refs, mse, mean_real)
-    else:
-        per_group = (_realization_fields(*a) for a in args)
-        r0_fields = _fold_groups(per_group, methods, refs, mse, mean_real)
+                pool = ProcessPoolExecutor(max_workers=workers)
+                # leaving the pool's own context would wait for every submitted group
+                stack.callback(pool.shutdown, cancel_futures=True)
+                per_group = pool.map(_realization_fields, *zip(*args))  # submits every group
+            else:
+                per_group = (_realization_fields(*a) for a in args)
+            refs = _reference_fields(model, spec)
+            orders = _fold_groups(per_group, methods, refs, mse, mean_real, partial)
 
-    for m in methods:
-        mean_real[m] /= spec.n_realizations
-
-    spurious_entries = _spurious_links(refs["theory"][0], mean_real)
-    return _write_bundle(spec, model, methods, refs, mse, r0_fields, spurious_entries)
+        for m in methods:
+            mean_real[m] /= spec.n_realizations
+        spurious_entries = _spurious_links(refs["theory"][0], mean_real)
+        return _write_bundle(spec, model, methods, orders, mse, spurious_entries, partial)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def run_example(spec: ExperimentSpec) -> dict:

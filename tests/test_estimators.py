@@ -295,12 +295,12 @@ def test_grouped_realizations_match_single_ones(monkeypatch, example_id):
     model = example_model(example_id)
     methods, vma_q, varma_pq = experiments._resolve_methods_and_orders(spec, model)
     counter = _count_stages(monkeypatch)
-    grouped = experiments._realization_fields(model, spec, methods, vma_q, varma_pq, [0, 1, 2])
+    grouped, _ = experiments._realization_fields(model, spec, methods, vma_q, varma_pq, [0, 1, 2])
     assert (counter["stages"], counter["steps"]) == (150, 50)
     for r, (tpdc, tdtf, orders) in enumerate(grouped):
         alone_tpdc, alone_tdtf, alone_orders = experiments._realization_fields(
             model, spec, methods, vma_q, varma_pq, [r]
-        )[0]
+        )[0][0]
         assert orders == alone_orders
         assert set(tdtf) == set(alone_tdtf) == (set(methods) if r == 0 else set())
         for m in methods:
@@ -589,6 +589,33 @@ def test_lattice_group_past_capacity_matches_lone_panels(n_samples, p_max):
         assert len(got) == len(alone) == p_max + 1
         for m, ((ar, cov), (ar_alone, cov_alone)) in enumerate(zip(got, alone)):
             assert np.array_equal(ar, ar_alone) and np.array_equal(cov, cov_alone), m
+
+
+PAST_N_S = "Nuttall-Strand stage 40 is past order n_s - 1 = 39"
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_lattice_past_order_n_s_minus_1_is_a_numerical_failure(seed):
+    # seeds 2 and 3 stay positive definite up to order n_s - 1 = 39, where stage 40's
+    # lag product would take a negative, wrapping slice of the 40 samples
+    with pytest.raises(NumericalError, match=PAST_N_S):
+        estimators._nuttall_strand(simulate(example_model(4), 40, seed=seed), 140)
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_lattice_past_order_n_s_minus_1_spends_its_group(failing):
+    panels = [simulate(example_model(4), 40, seed=s) for s in (2, 3)]
+    estimators._join_lattice(panels)
+    for _ in range(2):  # the lone retry fails the same way
+        with pytest.raises(NumericalError, match=PAST_N_S):
+            estimators._nuttall_strand(panels[failing], 140)
+    # the other member continues on a lattice of its own
+    other = panels[1 - failing]
+    got = estimators._nuttall_strand(other, 20)
+    alone = estimators._nuttall_strand(_fresh(other), 20)
+    assert len(other._memo["lattice"][0]) == 1 and len(got) == len(alone) == 21
+    for m, ((ar, cov), (ar_alone, cov_alone)) in enumerate(zip(got, alone)):
+        assert np.array_equal(ar, ar_alone) and np.array_equal(cov, cov_alone), m
 
 
 @pytest.mark.parametrize("cap, n_samples", [(8, 1), (8, 5), (8, 8), (8, 13), (64, 40), (64, 64), (64, 65), (64, 300)])

@@ -3,6 +3,8 @@ import gc
 import hashlib
 import json
 import os
+import time
+import warnings
 import weakref
 
 import numpy as np
@@ -12,6 +14,7 @@ from spectralgc import (
     ConfigError,
     ExperimentSpec,
     FrequencyGrid,
+    NumericalError,
     analyze_panel,
     example_model,
     fit_var,
@@ -297,14 +300,36 @@ def test_realization_retains_no_panel(monkeypatch):
     spec = ExperimentSpec(example_id=2, n_samples=1024, n_realizations=2, segment_len=128)
     model = example_model(2)
     methods, vma_q, varma_pq = experiments._resolve_methods_and_orders(spec, model)
-    fields = experiments._realization_fields(model, spec, methods, vma_q, varma_pq, [0, 1])
+    fields, caught = experiments._realization_fields(model, spec, methods, vma_q, varma_pq, [0, 1])
     assert len(refs) == 3 and all(ref() is None for ref in refs)
     assert len(fields) == 2 and all(set(f[0]) == set(methods) for f in fields)
+    assert caught == []
+
+
+def _held(simulate, out, first_held):
+    """``simulate``, but realizations from ``first_held`` on wait until ``out`` holds realization 0's fields.
+
+    Patched in before the pool forks, so the workers' groups wait too; a
+    minute without the file fails the run.
+    """
+
+    def held_simulate(model, n_samples, seed):
+        deadline = time.monotonic() + 60.0
+        while seed >= first_held and not (out / "fields_r0.csv.partial").exists():
+            if time.monotonic() > deadline:
+                raise RuntimeError("realization 0's fields were not written before the later groups ran")
+            time.sleep(0.005)
+        return simulate(model, n_samples, seed)
+
+    return held_simulate
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_bundle_is_written_with_only_realization_0_fields_alive(tmp_path, monkeypatch, n_jobs):
-    # eight realizations are two groups of four; each realization fits three tPDC fields
+    # realization 0's fields are written as soon as its group is scored, with its
+    # group-mates dropped.  The parent then holds realization 0's three tPDC
+    # fields plus those of any group a worker has returned by then; holding the
+    # groups after the first until the write makes that none, whatever R is
     live = []
     real_save = experiments.save_field_csv
 
@@ -318,8 +343,79 @@ def test_bundle_is_written_with_only_realization_0_fields_alive(tmp_path, monkey
         real_save(fields, path)
 
     monkeypatch.setattr(experiments, "save_field_csv", counting_save)
-    run_example(_spec(tmp_path, example_id=1, n_realizations=8, n_jobs=n_jobs))
-    assert live == [3]
+    real_simulate = experiments.simulate
+    for n_realizations in (8, 16):  # two and four groups of four
+        out = tmp_path / f"r{n_realizations}"
+        monkeypatch.setattr(experiments, "simulate", _held(real_simulate, out, first_held=4))
+        run_example(_spec(tmp_path, name=out.name, example_id=1, n_realizations=n_realizations, n_jobs=n_jobs))
+        assert sorted(p.name for p in out.iterdir()) == ["fields_r0.csv", "mse_table.csv", "mse_table.txt", "summary.json"]
+    assert live == [3, 3]
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_failed_group_leaves_no_fields_and_an_earlier_bundle_intact(tmp_path, monkeypatch, n_jobs):
+    # six realizations are two groups of four and two; the last one fails after
+    # realization 0's fields went to the partial file
+    spec = _spec(tmp_path, example_id=1, n_realizations=6, n_jobs=n_jobs)
+    run_example(_spec(tmp_path, name="earlier", example_id=1, n_realizations=2))
+    earlier = {p.name: p.read_bytes() for p in (tmp_path / "earlier").iterdir()}
+    real_simulate = experiments.simulate
+
+    def failing_simulate(model, n_samples, seed):  # patched before the pool forks
+        if seed == 5:
+            raise NumericalError(f"realization {seed} failed")
+        return real_simulate(model, n_samples, seed)
+
+    monkeypatch.setattr(experiments, "simulate", failing_simulate)
+    for out_dir in (tmp_path / "out", tmp_path / "earlier"):
+        spec.out_dir = str(out_dir)
+        with pytest.raises(NumericalError, match="realization 5 failed"):
+            run_example(spec)
+    assert not (tmp_path / "out" / "fields_r0.csv").exists()
+    assert list((tmp_path / "out").iterdir()) == []  # no partial file either
+    assert {p.name: p.read_bytes() for p in (tmp_path / "earlier").iterdir()} == earlier
+
+
+def test_failed_references_cancel_the_groups_not_started(tmp_path, monkeypatch):
+    # 64 realizations are 16 groups; the references fail while the first groups
+    # run, and only the groups already handed to a worker run to their end
+    calls = tmp_path / "calls"
+    real_join = experiments._join_lattice
+
+    def counting_join(panels):  # once per _realization_fields call, in the worker
+        with open(calls, "a") as fh:
+            fh.write("x")
+        real_join(panels)
+
+    def failing_references(model, spec):
+        raise NumericalError("references failed")
+
+    monkeypatch.setattr(experiments, "_join_lattice", counting_join)
+    monkeypatch.setattr(experiments, "_reference_fields", failing_references)
+    with pytest.raises(NumericalError, match="references failed"):
+        run_example(_spec(tmp_path, example_id=1, n_realizations=64, n_jobs=2))
+    n_calls = len(calls.read_text()) if calls.exists() else 0
+    # two running and the pool's three queued calls at most
+    assert n_calls <= 5
+    assert not (tmp_path / "out").exists()
+
+
+def test_worker_warnings_reach_the_caller(tmp_path, monkeypatch):
+    real_fit_varma = experiments.fit_varma
+
+    def warning_fit_varma(panel, p, q):
+        warnings.warn(f"VARMA fit of seed {panel.meta['seed']}", UserWarning)
+        return real_fit_varma(panel, p, q)
+
+    monkeypatch.setattr(experiments, "fit_varma", warning_fit_varma)
+    recorded = {}
+    for n_jobs in (1, 2):
+        # example 2 at n_s = 1024 runs groups of two: [0, 1], [2, 3], [4]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_example(_spec(tmp_path, example_id=2, n_realizations=5, n_jobs=n_jobs))
+        recorded[n_jobs] = [(w.category, str(w.message)) for w in caught]
+    assert recorded[1] == recorded[2] == [(UserWarning, f"VARMA fit of seed {r}") for r in range(5)]
 
 
 # ------------------------------------------------------------ default methods

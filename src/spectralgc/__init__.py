@@ -38,7 +38,6 @@ from .estimators import (
     fit_var,
     fit_varma,
     fit_vma,
-    hannan_quinn,
 )
 from .experiments import ExperimentSpec, analyze_panel, example_model, run_example, run_model
 from .models import (
@@ -55,8 +54,8 @@ from .models import (
     theoretical_spectrum,
     transfer_function,
 )
-from .simulate import TimeSeriesPanel, load_panel_csv, sample_covariance, save_panel_csv, simulate
-from .welch import load_spectrum_csv, save_spectrum_csv, welch_cross_spectrum
+from .simulate import TimeSeriesPanel, load_panel_csv, save_panel_csv, simulate
+from .welch import welch_cross_spectrum
 from .wilson import wilson_factorize
 
 __version__ = "0.1.0"
@@ -91,22 +90,18 @@ __all__ = [
     "fit_vma",
     "gamma_factor",
     "gpdc",
-    "hannan_quinn",
     "innovation_form",
     "innovation_structure",
     "load_field_csv",
     "load_panel_csv",
-    "load_spectrum_csv",
     "ma_root_report",
     "mse_vs_reference",
     "partial_coherence",
     "pi_factor",
     "run_example",
     "run_model",
-    "sample_covariance",
     "save_field_csv",
     "save_panel_csv",
-    "save_spectrum_csv",
     "simulate",
     "theoretical_spectrum",
     "total_dtf",

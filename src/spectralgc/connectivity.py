@@ -26,7 +26,6 @@ endpoint so averages run over the open band ``[0, 1/2)``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,8 @@ from .models import (
     SpectralFactor,
     SpectralMatrix,
     _check_leading_axis,
-    _grid_from_columns,
-    _write_grid_rows,
+    _read_rows,
+    _write_rows,
 )
 
 __all__ = [
@@ -278,6 +277,46 @@ def mse_vs_reference(estimate: ConnectivityField, reference: ConnectivityField) 
     return float(np.mean(np.abs(diff) ** 2))
 
 
+def _grid_columns(grid: FrequencyGrid, n: int):
+    """The ``nu, i, j`` columns of the CSV row layout (frequency-major, 1-based channels)."""
+    ij = np.arange(1, n + 1)
+    h = grid.one_sided_count
+    return np.repeat(grid.values, n * n), np.tile(np.repeat(ij, n), h), np.tile(ij, h * n)
+
+
+def _write_grid_rows(fh, grid: FrequencyGrid, values: np.ndarray, suffix: str) -> None:
+    """Write ``values`` as ``nu,i,j,re,im`` rows in :func:`_grid_columns` order.
+
+    Each row ends in ``suffix``.  Numbers are written with ``%.17g``, so
+    they read back exactly.
+    """
+    n = values.shape[1]
+    tail = suffix.replace("%", "%%") + "\n"
+    # a frequency's n*n rows after its nu, fed the (re, im) pairs of the
+    # interleaved float view; each nu is formatted once, as text in the format
+    rows = [f",{i + 1},{j + 1},%.17g,%.17g{tail}" for i in range(n) for j in range(n)]
+    nu = ["%.17g" % v for v in grid.values.tolist()]
+
+    def block(a, b):
+        fmt = "".join(v + row for v in nu[a:b] for row in rows)
+        return fmt, np.ascontiguousarray(values[a:b], dtype=complex).view(float).ravel().tolist()
+
+    _write_rows(fh, len(nu), 2 * n * n, block)
+
+
+def _grid_from_columns(nu, i, j, source) -> tuple:
+    """``(grid, n)`` of CSV rows; ``ConfigError`` unless they follow :func:`_grid_columns`."""
+    n = max(int(np.max(i, initial=0)), 1)
+    h = len(nu) // (n * n)
+    if h < 2 or h * n * n != len(nu):
+        raise ConfigError(f"{source}: {len(nu)} rows are not F/2 + 1 >= 2 frequencies of {n}x{n} matrices")
+    grid = FrequencyGrid(2 * (h - 1))
+    want_nu, want_i, want_j = _grid_columns(grid, n)
+    if not (np.array_equal(i, want_i) and np.array_equal(j, want_j) and np.allclose(nu, want_nu, 0, 1e-12)):
+        raise ConfigError(f"{source}: the nu, i, j columns are not the one-sided grid of {grid.n_points} points")
+    return grid, n
+
+
 def save_field_csv(fields, path) -> None:
     """Write one or more fields as ``nu,i,j,re,im,kind,method`` rows.
 
@@ -299,17 +338,8 @@ def load_field_csv(path) -> list:
     The numbers and the two tags are read separately, so a tag that is
     empty or looks like a number (``""``, ``"1"``, ``"nan"``) stays a string.
     """
-    read = dict(delimiter=",", skiprows=1, ndmin=2, comments=None)
-    try:
-        with warnings.catch_warnings():
-            # an empty table is reported below, not as numpy's warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(path, usecols=range(5), **read)
-            tags = np.loadtxt(path, usecols=(5, 6), dtype=str, **read)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read field file {path}: {exc}") from exc
-    if rows.size == 0:
-        raise ConfigError(f"{path}: no data rows after the header")
+    _, rows = _read_rows(path, "field file", usecols=range(5), comments=None)
+    _, tags = _read_rows(path, "field file", usecols=(5, 6), dtype=str, comments=None)
     fields = []
     for kind, method in sorted(set(map(tuple, tags.tolist()))):
         mask = (tags[:, 0] == kind) & (tags[:, 1] == method)

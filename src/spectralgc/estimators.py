@@ -37,7 +37,7 @@ from .models import (
 )
 from .simulate import TimeSeriesPanel
 
-__all__ = ["FitReport", "fit_var", "fit_vma", "fit_varma", "hannan_quinn"]
+__all__ = ["FitReport", "fit_var", "fit_vma", "fit_varma"]
 
 DEFAULT_LONG_AR_ORDER = 50
 
@@ -291,29 +291,13 @@ def _nuttall_strand(panel: TimeSeriesPanel, p_max: int) -> list:
                     raise
 
 
-def hannan_quinn(residual_covs, n_samples: int, n_channels: int) -> int:
-    """Hannan-Quinn order selection.
-
-    Parameters
-    ----------
-    residual_covs : sequence of (order, cov) pairs
-        Residual covariance for each candidate order.
-    n_samples, n_channels : int
-        Used in the penalty ``2 p N^2 ln(ln n_s) / n_s``.
-
-    Returns
-    -------
-    int
-        The order minimizing ``ln det cov + penalty``; ties go to the
-        smaller order.
-    """
-    if len(residual_covs) == 0:
-        raise ConfigError("hannan_quinn needs at least one candidate order")
-    return _hq_argmin(_hq_values(residual_covs, n_samples, n_channels))
-
-
 def _hq_values(residual_covs, n_samples: int, n_channels: int) -> list:
-    """``(order, ln det cov + penalty)`` pairs; a singular or indefinite cov scores inf."""
+    """Hannan-Quinn criterion ``(order, ln det cov + penalty)`` of each ``(order, cov)`` pair.
+
+    The penalty is ``2 p N^2 ln(ln n_s) / n_s``; a singular or indefinite
+    cov scores inf.  :func:`_hq_argmin` picks the order, ties to the
+    smaller one.
+    """
     penalty_unit = 2.0 * n_channels**2 * np.log(np.log(n_samples)) / n_samples
     signs, logdets = np.linalg.slogdet(np.array([cov for _, cov in residual_covs]))
     return [

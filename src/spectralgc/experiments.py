@@ -43,6 +43,7 @@ import contextlib
 import hashlib
 import json
 import os
+import sys
 import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -243,8 +244,10 @@ def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q,
 
     Returns one ``(tPDC, tDTF, orders)`` triple per realization, in order,
     and the warnings the group raised as ``(category, message, filename,
-    lineno)`` tuples, which pickle, so a pool worker's warnings reach the
-    caller (see :func:`_fold_groups`); only realization 0 gets tDTF fields.
+    lineno, module)`` tuples, which pickle, so a pool worker's warnings
+    reach the caller (see :func:`_fold_groups`); only realization 0 gets
+    tDTF fields.  ``module`` is the name of the module the warning was
+    attributed to, looked up from its file name, or None.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -254,7 +257,10 @@ def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q,
             _panel_fields(panel, spec, methods, vma_q, varma_pq, with_dtf=r == 0)
             for r, panel in zip(rs, panels)
         ]
-    return fields, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    modules = {getattr(m, "__file__", None): name for name, m in list(sys.modules.items())} if caught else {}
+    return fields, [
+        (w.category, str(w.message), w.filename, w.lineno, modules.get(w.filename)) for w in caught
+    ]
 
 
 def _reference_fields(model: VarmaModel, spec: ExperimentSpec):
@@ -351,14 +357,14 @@ def _fold_groups(per_group, methods, refs, mse, band_sums, partial: Path):
     ``per_group``; with a pool, the later groups run meanwhile.  Every
     group is dropped once scored, so the fold holds no fields but one
     group's.  The warnings each group recorded are re-emitted first, in
-    realization order; under the default filter each distinct one shows
-    once per run.
+    realization order and with their module, so ``module=`` filters apply;
+    under the default filter each distinct one shows once per run.
     """
     registry = {}
     orders = None
     for group, caught in per_group:
-        for category, message, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        for category, message, filename, lineno, module in caught:
+            warnings.warn_explicit(message, category, filename, lineno, module, registry)
         _score_group(group, methods, refs, mse, band_sums)
         if orders is None:
             tpdc, tdtf, orders = group[0]

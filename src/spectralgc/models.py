@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,13 +104,6 @@ def _check_leading_axis(values: np.ndarray, grid: FrequencyGrid, what: str) -> N
         )
 
 
-def _grid_columns(grid: FrequencyGrid, n: int):
-    """The ``nu, i, j`` columns of the CSV row layout (frequency-major, 1-based channels)."""
-    ij = np.arange(1, n + 1)
-    h = grid.one_sided_count
-    return np.repeat(grid.values, n * n), np.tile(np.repeat(ij, n), h), np.tile(ij, h * n)
-
-
 def _write_rows(fh, n_rows: int, row_values: int, block) -> None:
     """Write ``n_rows`` CSV rows of ``row_values`` numbers each, in bounded blocks.
 
@@ -126,37 +120,25 @@ def _write_rows(fh, n_rows: int, row_values: int, block) -> None:
         fh.write(fmt % tuple(numbers))
 
 
-def _write_grid_rows(fh, grid: FrequencyGrid, values: np.ndarray, suffix: str = "") -> None:
-    """Write ``values`` as ``nu,i,j,re,im`` rows in :func:`_grid_columns` order.
+def _read_rows(path, what: str, **loadtxt_kwargs) -> tuple:
+    """The header fields and the rows of the comma-separated table at ``path``.
 
-    Each row ends in ``suffix``.  Numbers are written with ``%.17g``, so
-    they read back exactly.
+    The rows after the header are read as a 2-d array by numpy's
+    ``loadtxt`` with ``loadtxt_kwargs``.  An unreadable file, a malformed
+    row and a table without rows raise ``ConfigError`` naming the
+    ``what`` (``"panel file"``, ...) at ``path``.
     """
-    n = values.shape[1]
-    tail = suffix.replace("%", "%%") + "\n"
-    # a frequency's n*n rows after its nu, fed the (re, im) pairs of the
-    # interleaved float view; each nu is formatted once, as text in the format
-    rows = [f",{i + 1},{j + 1},%.17g,%.17g{tail}" for i in range(n) for j in range(n)]
-    nu = ["%.17g" % v for v in grid.values.tolist()]
-
-    def block(a, b):
-        fmt = "".join(v + row for v in nu[a:b] for row in rows)
-        return fmt, np.ascontiguousarray(values[a:b], dtype=complex).view(float).ravel().tolist()
-
-    _write_rows(fh, len(nu), 2 * n * n, block)
-
-
-def _grid_from_columns(nu, i, j, source) -> tuple:
-    """``(grid, n)`` of CSV rows; ``ConfigError`` unless they follow :func:`_grid_columns`."""
-    n = max(int(np.max(i, initial=0)), 1)
-    h = len(nu) // (n * n)
-    if h < 2 or h * n * n != len(nu):
-        raise ConfigError(f"{source}: {len(nu)} rows are not F/2 + 1 >= 2 frequencies of {n}x{n} matrices")
-    grid = FrequencyGrid(2 * (h - 1))
-    want_nu, want_i, want_j = _grid_columns(grid, n)
-    if not (np.array_equal(i, want_i) and np.array_equal(j, want_j) and np.allclose(nu, want_nu, 0, 1e-12)):
-        raise ConfigError(f"{source}: the nu, i, j columns are not the one-sided grid of {grid.n_points} points")
-    return grid, n
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            header = fh.readline().strip().split(",")
+            # an empty table is reported below, not as numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2, **loadtxt_kwargs)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if rows.size == 0:
+        raise ConfigError(f"{path}: no data rows after the header")
+    return header, rows
 
 
 @dataclass
@@ -310,7 +292,7 @@ class VarmaModel:
         try:
             with open(path) as fh:
                 d = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise ConfigError(f"cannot read model file {path}: {exc}") from exc
         return cls.from_dict(d)
 

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import json
 import threading
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, UnstableModelError
-from .models import VarmaModel, _write_rows, ar_root_report
+from .models import VarmaModel, _read_rows, _write_rows, ar_root_report
 
-__all__ = ["TimeSeriesPanel", "simulate", "sample_covariance", "save_panel_csv", "load_panel_csv"]
+__all__ = ["TimeSeriesPanel", "simulate", "save_panel_csv", "load_panel_csv"]
 
 DEFAULT_BURN_IN = 1000
 #: samples per block of the AR recursion in :func:`simulate` (raised to p when p is larger)
@@ -32,16 +31,10 @@ class TimeSeriesPanel:
 
     The panel owns a read-only, C-ordered float copy of ``data``, so
     results derived from it stay valid for the panel's lifetime: the
-    estimators memoise the Nuttall-Strand lattice and the long-VAR
-    residuals in ``_memo``, and every fit of one panel shares them.
-    ``_memo`` is written only under ``_lock``, by joining a lattice group
-    and by the panel's own fits.  Equal-shaped panels can share one
-    lattice group, which runs each stage for all of them at once; the
-    memo entry is then ``(group, index)``, and the group holds the data,
-    never a panel (the group-size rule and its measurements are at
-    ``estimators._nuttall_strand``).  The memo dies with the panel and is
-    not pickled.  As the owner of its memo, a panel compares and hashes
-    by identity.
+    estimators memoise the panel's lattice and long-VAR residuals in
+    ``_memo``, and every fit of one panel shares them.  ``_memo`` is
+    written only under ``_lock``, dies with the panel and is not pickled.
+    As the owner of its memo, a panel compares and hashes by identity.
     """
 
     data: np.ndarray
@@ -150,12 +143,6 @@ def _ar_block_operators(ar_blocks: np.ndarray, L: int):
     return toeplitz.reshape(L * n, L * n), hist[p:, :, n:].reshape(L * n, p * n)
 
 
-def sample_covariance(panel: TimeSeriesPanel) -> np.ndarray:
-    """Covariance of the panel about its sample mean (divisor ``n_samples``)."""
-    centered = panel.data - panel.data.mean(axis=1, keepdims=True)
-    return (centered @ centered.T) / panel.n_samples
-
-
 def save_panel_csv(panel: TimeSeriesPanel, path) -> None:
     """Write ``t, x1, .., xN`` rows plus the JSON metadata sidecar."""
     path = Path(path)
@@ -176,21 +163,9 @@ def save_panel_csv(panel: TimeSeriesPanel, path) -> None:
 def load_panel_csv(path) -> TimeSeriesPanel:
     """Read a panel CSV written by :func:`save_panel_csv` (sidecar optional)."""
     path = Path(path)
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if header[:1] != ["t"] or any(not c.startswith("x") for c in header[1:]):
-                raise ConfigError(f"{path}: expected header 't,x1,..,xN', got {header!r}")
-            with warnings.catch_warnings():
-                # an empty table is reported below, not as numpy's warning
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot read panel file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed panel CSV: {exc}") from exc
-    if rows.size == 0:
-        raise ConfigError(f"{path}: no data rows after the header")
+    header, rows = _read_rows(path, "panel file")
+    if header[:1] != ["t"] or any(not c.startswith("x") for c in header[1:]):
+        raise ConfigError(f"{path}: expected header 't,x1,..,xN', got {header!r}")
     if rows.shape[1] != len(header):
         raise ConfigError(f"{path}: row width {rows.shape[1]} does not match header")
     meta = {}

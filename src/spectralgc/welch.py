@@ -8,15 +8,13 @@ layout the spectral factorization routine takes.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import ConfigError
-from .models import BLOCK_BYTES, FrequencyGrid, SpectralMatrix, _grid_from_columns, _write_grid_rows
+from .models import BLOCK_BYTES, FrequencyGrid, SpectralMatrix
 from .simulate import TimeSeriesPanel
 
-__all__ = ["welch_cross_spectrum", "save_spectrum_csv", "load_spectrum_csv"]
+__all__ = ["welch_cross_spectrum"]
 
 
 def _check_segment_len(segment_len) -> None:
@@ -82,25 +80,3 @@ def welch_cross_spectrum(panel: TimeSeriesPanel, segment_len: int = 256) -> Spec
     # depends on this layout, which a one-shot sum over all segments also has
     return SpectralMatrix(FrequencyGrid(L), S.transpose(2, 0, 1))
 
-
-def save_spectrum_csv(spectrum: SpectralMatrix, path) -> None:
-    """Write ``nu, i, j, re, im`` rows, one-sided, frequency-major, channels 1-based."""
-    with open(path, "w") as fh:
-        fh.write("nu,i,j,re,im\n")
-        _write_grid_rows(fh, spectrum.grid, spectrum.values)
-
-
-def load_spectrum_csv(path) -> SpectralMatrix:
-    """Inverse of :func:`save_spectrum_csv`; other row layouts raise ``ConfigError``."""
-    try:
-        with warnings.catch_warnings():
-            # an empty table is reported below, not as numpy's warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=range(5))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read spectrum file {path}: {exc}") from exc
-    if rows.size == 0:
-        raise ConfigError(f"{path}: no data rows after the header")
-    grid, n = _grid_from_columns(rows[:, 0], rows[:, 1], rows[:, 2], path)
-    values = (rows[:, 3] + 1j * rows[:, 4]).reshape(-1, n, n)
-    return SpectralMatrix(grid, values)

@@ -71,6 +71,14 @@ def test_missing_model_file_exits_two(tmp_path, capsys):
     assert "cannot read model file" in capsys.readouterr().err
 
 
+def test_model_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe{}")
+    rc = main(["model", str(path)] + _common(tmp_path))
+    assert rc == 2
+    assert "cannot read model file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, blocks",
     [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -345,6 +347,30 @@ def test_field_csv_with_a_missing_row_rejected(tmp_path):
     header, *rows = path.read_text().splitlines()
     path.write_text("\n".join([header, *rows[:-1]]) + "\n")
     with pytest.raises(ConfigError, match="rows"):
+        load_field_csv(path)
+
+
+def test_header_only_field_csv_rejected_without_a_warning(tmp_path):
+    path = tmp_path / "fields.csv"
+    path.write_text("nu,i,j,re,im,kind,method\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not escape
+        with pytest.raises(ConfigError, match="no data rows after the header"):
+            load_field_csv(path)
+
+
+def test_two_sided_field_csv_rejected(tmp_path):
+    # the rows of an F-point two-sided grid, nu = k / F for k = 0 .. F - 1
+    field = total_pdc(_factor(2), method_tag="theory")
+    F, n = field.grid.n_points, field.n_channels
+    full = ref.two_sided(field.values).reshape(-1)
+    nu = np.repeat(np.arange(F) / F, n * n)
+    i = np.tile(np.repeat(np.arange(1, n + 1), n), F)
+    j = np.tile(np.arange(1, n + 1), F * n)
+    rows = ["%.17g,%d,%d,%.17g,%.17g,tPDC,theory" % row for row in zip(nu, i, j, full.real, full.imag)]
+    path = tmp_path / "fields.csv"
+    path.write_text("\n".join(["nu,i,j,re,im,kind,method", *rows]) + "\n")
+    with pytest.raises(ConfigError, match="one-sided grid"):
         load_field_csv(path)
 
 

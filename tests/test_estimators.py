@@ -21,7 +21,6 @@ from spectralgc import (
     fit_var,
     fit_varma,
     fit_vma,
-    hannan_quinn,
     innovation_form,
     ma_root_report,
     simulate,
@@ -69,11 +68,8 @@ def test_var_report_is_consistent():
 
 
 def test_hannan_quinn_tie_breaks_small():
-    cov = np.eye(2)
-    assert hannan_quinn([(3, cov), (1, cov.copy())], 1000, 2) == 1
-    assert hannan_quinn([(4, cov)], 1000, 2) == 4
-    with pytest.raises(ConfigError):
-        hannan_quinn([], 1000, 2)
+    assert estimators._hq_argmin([(3, -1.5), (1, -1.5), (2, np.inf)]) == 1
+    assert estimators._hq_argmin([(4, 0.0)]) == 4
 
 
 def test_hq_values_take_one_slogdet_and_match_lone_ones(monkeypatch):
@@ -94,7 +90,7 @@ def test_hq_values_take_one_slogdet_and_match_lone_ones(monkeypatch):
     monkeypatch.setattr(np.linalg, "slogdet", counting)
     assert estimators._hq_values(covs, 1000, 3) == want
     assert calls == [(8, 3, 3)]
-    assert hannan_quinn([(1, np.zeros((3, 3))), (2, np.eye(3))], 1000, 3) == 2
+    assert estimators._hq_argmin(estimators._hq_values([(1, np.zeros((3, 3))), (2, np.eye(3))], 1000, 3)) == 2
 
 
 def test_hannan_quinn_rejects_pure_var_for_varma_data():

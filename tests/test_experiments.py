@@ -400,11 +400,13 @@ def test_failed_references_cancel_the_groups_not_started(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def test_worker_warnings_reach_the_caller(tmp_path, monkeypatch):
+def _warnings_of_serial_and_pooled_runs(tmp_path, monkeypatch, ignored_module=None):
+    """``(category, message)`` of the warnings that reach the caller of example 2 runs, by n_jobs."""
     real_fit_varma = experiments.fit_varma
 
     def warning_fit_varma(panel, p, q):
-        warnings.warn(f"VARMA fit of seed {panel.meta['seed']}", UserWarning)
+        # attributed to the caller, spectralgc.experiments, as the fits' own warnings are
+        warnings.warn(f"VARMA fit of seed {panel.meta['seed']}", UserWarning, stacklevel=2)
         return real_fit_varma(panel, p, q)
 
     monkeypatch.setattr(experiments, "fit_varma", warning_fit_varma)
@@ -413,9 +415,22 @@ def test_worker_warnings_reach_the_caller(tmp_path, monkeypatch):
         # example 2 at n_s = 1024 runs groups of two: [0, 1], [2, 3], [4]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            if ignored_module:
+                warnings.filterwarnings("ignore", module=ignored_module)
             run_example(_spec(tmp_path, example_id=2, n_realizations=5, n_jobs=n_jobs))
         recorded[n_jobs] = [(w.category, str(w.message)) for w in caught]
+    return recorded
+
+
+def test_worker_warnings_reach_the_caller(tmp_path, monkeypatch):
+    recorded = _warnings_of_serial_and_pooled_runs(tmp_path, monkeypatch)
     assert recorded[1] == recorded[2] == [(UserWarning, f"VARMA fit of seed {r}") for r in range(5)]
+
+
+def test_worker_warnings_keep_their_module(tmp_path, monkeypatch):
+    # a module= filter matches the re-emitted warnings as it would the direct ones
+    recorded = _warnings_of_serial_and_pooled_runs(tmp_path, monkeypatch, "spectralgc.experiments")
+    assert recorded == {1: [], 2: []}
 
 
 # ------------------------------------------------------------ default methods

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,6 @@ from spectralgc import (
     TimeSeriesPanel,
     VarmaModel,
     example_model,
-    load_spectrum_csv,
-    save_spectrum_csv,
     simulate,
     theoretical_spectrum,
     welch_cross_spectrum,
@@ -135,46 +131,3 @@ def test_panel_shorter_than_segment_rejected():
         with pytest.raises(ConfigError, match="even integer >= 4"):
             welch_cross_spectrum(TimeSeriesPanel(np.zeros((2, 1000))), segment_len=odd_or_short)
 
-
-def test_spectrum_csv_roundtrip(tmp_path):
-    panel = simulate(example_model(1), 4096, seed=6)
-    S = welch_cross_spectrum(panel)
-    path = tmp_path / "spectrum.csv"
-    save_spectrum_csv(S, path)
-    loaded = load_spectrum_csv(path)
-    assert loaded.grid.n_points == S.grid.n_points
-    assert np.array_equal(loaded.values, S.values)
-
-
-def test_spectrum_csv_with_shuffled_rows_rejected(tmp_path):
-    path = tmp_path / "spectrum.csv"
-    save_spectrum_csv(welch_cross_spectrum(simulate(example_model(1), 1024, seed=6)), path)
-    header, *rows = path.read_text().splitlines()
-    rows[0], rows[5] = rows[5], rows[0]
-    path.write_text("\n".join([header, *rows]) + "\n")
-    with pytest.raises(ConfigError, match="nu, i, j"):
-        load_spectrum_csv(path)
-
-
-def test_header_only_spectrum_csv_rejected_without_a_warning(tmp_path):
-    path = tmp_path / "spectrum.csv"
-    path.write_text("nu,i,j,re,im\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy's "input contained no data" must not escape
-        with pytest.raises(ConfigError, match="no data rows after the header"):
-            load_spectrum_csv(path)
-
-
-def test_two_sided_spectrum_csv_rejected(tmp_path):
-    # the rows of an F-point two-sided grid, nu = k / F for k = 0 .. F - 1
-    S = welch_cross_spectrum(simulate(example_model(1), 1024, seed=6))
-    F, n = S.grid.n_points, S.n_channels
-    full = ref.two_sided(S.values).reshape(-1)
-    nu = np.repeat(np.arange(F) / F, n * n)
-    i = np.tile(np.repeat(np.arange(1, n + 1), n), F)
-    j = np.tile(np.arange(1, n + 1), F * n)
-    path = tmp_path / "spectrum.csv"
-    table = np.column_stack([nu, i, j, full.real, full.imag])
-    np.savetxt(path, table, delimiter=",", header="nu,i,j,re,im", comments="", fmt="%.17g")
-    with pytest.raises(ConfigError, match="one-sided grid"):
-        load_spectrum_csv(path)

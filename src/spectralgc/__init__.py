@@ -8,105 +8,23 @@ Nuttall-Strand, VMA/VARMA by two-step least squares) or nonparametrically
 from a Welch cross-spectrum put through Wilson factorization.
 """
 
-from .connectivity import (
-    ConnectivityField,
-    InnovationStructure,
-    coherency,
-    directed_coherence,
-    gamma_factor,
-    gpdc,
-    innovation_structure,
-    load_field_csv,
-    mse_vs_reference,
-    partial_coherence,
-    pi_factor,
-    save_field_csv,
-    total_dtf,
-    total_pdc,
-)
-from .errors import (
-    ConfigError,
-    DegeneratePanelError,
-    NonConvergenceError,
-    NonPositiveSpectrumError,
-    NumericalError,
-    SingularFrequencyError,
-    UnstableModelError,
-)
-from .estimators import (
-    FitReport,
-    fit_var,
-    fit_varma,
-    fit_vma,
-)
-from .experiments import ExperimentSpec, analyze_panel, example_model, run_example, run_model
-from .models import (
-    FrequencyGrid,
-    RootReport,
-    SpectralFactor,
-    SpectralMatrix,
-    VarmaModel,
-    ar_root_report,
-    eval_ar_polynomial,
-    eval_ma_polynomial,
-    innovation_form,
-    ma_root_report,
-    theoretical_spectrum,
-    transfer_function,
-)
-from .simulate import TimeSeriesPanel, load_panel_csv, save_panel_csv, simulate
-from .welch import welch_cross_spectrum
-from .wilson import wilson_factorize
+from . import connectivity as _connectivity, errors as _errors, estimators as _estimators
+from . import experiments as _experiments, models as _models, simulate as _simulate
+from . import welch as _welch, wilson as _wilson
+
+# Each module's __all__ is the one list of its public names.  The star imports
+# come after the aliased ones: ``from .simulate import *`` rebinds the package
+# attribute ``simulate`` from the submodule to the function.
+from .connectivity import *
+from .errors import *
+from .estimators import *
+from .experiments import *
+from .models import *
+from .simulate import *
+from .welch import *
+from .wilson import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "ConnectivityField",
-    "DegeneratePanelError",
-    "ExperimentSpec",
-    "FitReport",
-    "FrequencyGrid",
-    "InnovationStructure",
-    "NonConvergenceError",
-    "NonPositiveSpectrumError",
-    "NumericalError",
-    "RootReport",
-    "SingularFrequencyError",
-    "SpectralFactor",
-    "SpectralMatrix",
-    "TimeSeriesPanel",
-    "UnstableModelError",
-    "VarmaModel",
-    "analyze_panel",
-    "ar_root_report",
-    "coherency",
-    "directed_coherence",
-    "eval_ar_polynomial",
-    "eval_ma_polynomial",
-    "example_model",
-    "fit_var",
-    "fit_varma",
-    "fit_vma",
-    "gamma_factor",
-    "gpdc",
-    "innovation_form",
-    "innovation_structure",
-    "load_field_csv",
-    "load_panel_csv",
-    "ma_root_report",
-    "mse_vs_reference",
-    "partial_coherence",
-    "pi_factor",
-    "run_example",
-    "run_model",
-    "save_field_csv",
-    "save_panel_csv",
-    "simulate",
-    "theoretical_spectrum",
-    "total_dtf",
-    "total_pdc",
-    "transfer_function",
-    "welch_cross_spectrum",
-    "wilson_factorize",
-]
+_MODULES = (_connectivity, _errors, _estimators, _experiments, _models, _simulate, _welch, _wilson)
+__all__ = sorted(name for module in _MODULES for name in module.__all__)

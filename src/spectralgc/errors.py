@@ -7,6 +7,16 @@ generators).  The command line maps the former to exit code 2 and the
 latter to exit code 3.
 """
 
+__all__ = [
+    "ConfigError",
+    "DegeneratePanelError",
+    "NumericalError",
+    "UnstableModelError",
+    "SingularFrequencyError",
+    "NonConvergenceError",
+    "NonPositiveSpectrumError",
+]
+
 
 class ConfigError(ValueError):
     """Invalid configuration or input data."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePanelError, NumericalError
+from .errors import ConfigError, NumericalError
 from .models import (
     BLOCK_BYTES,
     COND_LIMIT,
@@ -35,7 +35,7 @@ from .models import (
     ar_root_report,
     ma_root_report,
 )
-from .simulate import TimeSeriesPanel
+from .simulate import TimeSeriesPanel, _check_panel
 
 __all__ = ["FitReport", "fit_var", "fit_vma", "fit_varma"]
 
@@ -54,16 +54,6 @@ class FitReport:
     model: VarmaModel
     selected_order: tuple
     criterion_values: list
-
-
-def _check_panel(panel: TimeSeriesPanel) -> None:
-    # exact for a constant channel, whose variance can round to a tiny positive
-    # number (1.9e-34 for 0.1), and no N x n_s temporary
-    x = panel.data
-    constant = x.min(axis=1) == x.max(axis=1)
-    if np.any(constant):
-        ch = int(np.argmax(constant)) + 1
-        raise DegeneratePanelError(f"channel x{ch} has zero variance; nothing to fit")
 
 
 def _solve_sylvester(gram, cov, c):

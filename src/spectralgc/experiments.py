@@ -66,7 +66,7 @@ from .models import (
     ma_root_report,
     transfer_function,
 )
-from .simulate import TimeSeriesPanel, load_panel_csv, simulate
+from .simulate import TimeSeriesPanel, _check_panel, load_panel_csv, simulate
 from .welch import _check_segment_len, welch_cross_spectrum
 from .wilson import wilson_factorize
 
@@ -214,6 +214,7 @@ def _fit_method(method: str, panel: TimeSeriesPanel, spec: ExperimentSpec, vma_q
     elif method == "varma":
         report = fit_varma(panel, varma_pq[0], varma_pq[1])
     elif method == "wn":
+        _check_panel(panel)  # Wilson cannot factor the singular spectrum of a constant channel
         spectrum = welch_cross_spectrum(panel, segment_len=spec.segment_len)
         return wilson_factorize(spectrum), None
     else:  # pragma: no cover - guarded upstream
@@ -461,11 +462,11 @@ def analyze_panel(spec: ExperimentSpec) -> dict:
         raise ConfigError("need at least 2 channels for connectivity analysis")
     methods, vma_q, varma_pq = _resolve_methods_and_orders(spec, None)
 
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tpdc_fields, tdtf_fields, orders = _panel_fields(
         panel, spec, methods, vma_q, varma_pq, with_dtf=True
     )
+    out = Path(spec.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     save_field_csv([f for m in methods for f in (tpdc_fields[m], tdtf_fields[m])], out / "fields.csv")
     config = {k: v for k, v in asdict(spec).items() if k in _ANALYZE_FIELDS}
     summary = {

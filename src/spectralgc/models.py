@@ -266,7 +266,7 @@ class VarmaModel:
         d = {"n_channels": self.n_channels}
         if self.ar_order > 0:
             d["ar"] = self.ar_blocks.tolist()
-        if self.ma_order > 0 or not np.allclose(self.ma_blocks[0], np.eye(self.n_channels)):
+        if self.ma_order > 0 or not np.array_equal(self.ma_blocks[0], np.eye(self.n_channels)):
             d["ma"] = self.ma_blocks.tolist()
         d["sigma"] = self.innovations_cov.tolist()
         return d
@@ -421,7 +421,7 @@ def innovation_form(model: VarmaModel) -> VarmaModel:
     factorization-based estimates share one normalization.
     """
     B0 = model.ma_blocks[0]
-    if np.allclose(B0, np.eye(model.n_channels)):
+    if np.array_equal(B0, np.eye(model.n_channels)):
         return model
     B0_inv = np.linalg.inv(B0)
     ma = model.ma_blocks @ B0_inv

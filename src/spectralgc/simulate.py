@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, UnstableModelError
+from .errors import ConfigError, DegeneratePanelError, UnstableModelError
 from .models import VarmaModel, _read_rows, _write_rows, ar_root_report
 
 __all__ = ["TimeSeriesPanel", "simulate", "save_panel_csv", "load_panel_csv"]
@@ -46,6 +46,11 @@ class TimeSeriesPanel:
         data = np.array(self.data, dtype=float, order="C")
         if data.ndim != 2:
             raise ConfigError(f"panel data must be 2-d (channels x samples), got {data.ndim}-d")
+        # per-channel extremes propagate nan and +-inf with no N x n_s temporary;
+        # ``initial`` keeps a panel without samples valid
+        finite = np.isfinite(data.min(axis=1, initial=0.0)) & np.isfinite(data.max(axis=1, initial=0.0))
+        if not finite.all():
+            raise ConfigError(f"channel x{int(np.argmin(finite)) + 1} has a non-finite sample (nan or inf)")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
@@ -59,6 +64,21 @@ class TimeSeriesPanel:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
+
+
+def _check_panel(panel: TimeSeriesPanel) -> None:
+    """Raise ``DegeneratePanelError`` naming the first constant channel: nothing can be fitted.
+
+    Not a constructor check: a 1-sample panel, which :func:`simulate` can
+    draw, is constant in every channel.
+    """
+    # exact for a constant channel, whose variance can round to a tiny positive
+    # number (1.9e-34 for 0.1), and no N x n_s temporary
+    x = panel.data
+    constant = x.min(axis=1) == x.max(axis=1)
+    if np.any(constant):
+        ch = int(np.argmax(constant)) + 1
+        raise DegeneratePanelError(f"channel x{ch} has zero variance; nothing to fit")
 
 
 def simulate(model: VarmaModel, n_samples: int, seed: int, burn_in: int = DEFAULT_BURN_IN) -> TimeSeriesPanel:

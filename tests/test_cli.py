@@ -137,6 +137,30 @@ def test_analyze_with_malformed_sidecar_exits_two_and_names_it(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("method", ["var", "wn"])
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        pytest.param("nan", "channel x2 has a non-finite sample", id="nan"),
+        pytest.param("inf", "channel x2 has a non-finite sample", id="inf"),
+        pytest.param("constant", "channel x2 has zero variance", id="constant"),
+    ],
+)
+def test_analyze_malformed_panel_exits_two_and_names_the_channel(tmp_path, capsys, defect, message, method):
+    data = simulate(example_model(2), 1024, seed=2).data.copy()
+    if defect == "constant":
+        data[1] = 0.1
+    else:
+        data[1, 100] = float(defect)
+    csv_path = tmp_path / "panel.csv"  # written directly: a panel with a nan or inf is never built
+    rows = np.column_stack([np.arange(data.shape[1]), data.T])
+    np.savetxt(csv_path, rows, fmt="%.17g", delimiter=",", header="t,x1,x2,x3", comments="")
+    rc = main(["analyze", str(csv_path), "--methods", method, "--seg-len", "128", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("seg_len", ["255", "0"])
 @pytest.mark.parametrize("command", ["example", "analyze"])
 def test_bad_segment_length_exits_two_and_names_it(tmp_path, capsys, command, seg_len):

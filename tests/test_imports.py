@@ -1,15 +1,38 @@
-"""The package itself needs numpy only; scipy is a test dependency.
+"""The package's public names, and what importing it loads.
 
-Only a run with ``n_jobs > 1`` starts a process pool, so only such a run
-loads ``concurrent.futures.process`` and ``multiprocessing``.
+The package exports the union of its modules' ``__all__`` lists.  It
+needs numpy only; scipy is a test dependency.  Only a run with
+``n_jobs > 1`` starts a process pool, so only such a run loads
+``concurrent.futures.process`` and ``multiprocessing``.
 """
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import spectralgc
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = ("connectivity", "errors", "estimators", "experiments", "models", "simulate", "welch", "wilson")
+
+
+def test_package_exports_the_union_of_its_modules_all_lists():
+    names = spectralgc.__all__
+    assert names == sorted(set(names))
+    modules = [importlib.import_module(f"spectralgc.{name}") for name in MODULES]
+    assert names == sorted(name for module in modules for name in module.__all__)
+    namespace = {}
+    exec("from spectralgc import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == names
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(spectralgc, name) is getattr(module, name), name
+    # the star import of spectralgc.simulate rebinds the package attribute to the function
+    assert inspect.isfunction(spectralgc.simulate)
+    assert spectralgc.simulate is sys.modules["spectralgc.simulate"].simulate
 
 SCRIPT = """
 import sys

@@ -210,6 +210,20 @@ def test_innovation_form_normalizes_and_preserves_spectrum():
     assert innovation_form(m1) is m1
 
 
+def test_leading_ma_block_near_identity_is_not_taken_for_identity(tmp_path):
+    # B0 lies within np.allclose of I, but it is not I
+    near = VarmaModel(np.zeros((0, 2, 2)), [[[1.0, 5e-9], [0.0, 1.0]]], [[1.0, 0.3], [0.3, 2.0]])
+    exact = VarmaModel(np.zeros((0, 2, 2)), np.eye(2)[None], near.innovations_cov)
+    canonical = innovation_form(near)
+    assert canonical is not near
+    assert np.max(np.abs(canonical.ma_blocks[0] - np.eye(2))) < 1e-15
+    grid = FrequencyGrid(16)
+    assert np.allclose(theoretical_spectrum(canonical, grid).values, theoretical_spectrum(near, grid).values, 0, 1e-14)
+    near.save_json(tmp_path / "near.json")
+    assert np.array_equal(VarmaModel.load_json(tmp_path / "near.json").ma_blocks, near.ma_blocks)
+    assert near.content_hash() != exact.content_hash()
+
+
 @pytest.mark.parametrize("h", [1, 129, 513])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_stacked_matmul_equals_complex_matmul(n, h):

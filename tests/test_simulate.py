@@ -175,6 +175,15 @@ def test_panel_pickles_after_a_fit():
     assert np.array_equal(fit_var(clone, p_max=5).model.ar_blocks, report.model.ar_blocks)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_panel_rejects_a_non_finite_sample_and_names_its_channel(bad):
+    data = np.random.default_rng(0).standard_normal((3, 64))
+    data[1, 17] = bad
+    with pytest.raises(ConfigError, match="channel x2 has a non-finite sample"):
+        TimeSeriesPanel(data)
+    assert TimeSeriesPanel(np.zeros((2, 0))).n_samples == 0  # no samples, nothing non-finite
+
+
 def test_panels_compare_and_hash_by_identity():
     first = TimeSeriesPanel(np.zeros((2, 3)))
     second = TimeSeriesPanel(np.zeros((2, 3)))

@@ -22,7 +22,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, NumericalError
-from .experiments import ExperimentSpec, analyze_panel, run_example, run_model
+from .experiments import LATTICE_GROUP_SAMPLES, ExperimentSpec, analyze_panel, run_example, run_model
 
 __all__ = ["main", "build_parser"]
 
@@ -56,7 +56,9 @@ def _add_monte_carlo_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--jobs", type=int, dest="n_jobs",
-        help=f"concurrent realizations (default {ExperimentSpec.n_jobs})",
+        help=f"worker processes, each fitting whole groups of realizations, so a run of one "
+        f"group ({LATTICE_GROUP_SAMPLES // 2048} or fewer realizations of a 2-channel model at "
+        f"--ns 1024) stays in-process (default {ExperimentSpec.n_jobs})",
     )
 
 

@@ -39,6 +39,7 @@ from .simulate import TimeSeriesPanel, _check_panel
 
 __all__ = ["FitReport", "fit_var", "fit_vma", "fit_varma"]
 
+DEFAULT_VAR_P_MAX = 30
 DEFAULT_LONG_AR_ORDER = 50
 
 
@@ -100,7 +101,7 @@ def _edge_windows(x: np.ndarray, cap: int) -> np.ndarray:
     return windows.transpose(0, 4, 1, 2, 3).reshape(r, (cap + 1) * n, 2 * cap)
 
 
-def _lattice_stages(x: np.ndarray):
+def _lattice_stages(x: np.ndarray, cap: int):
     """Nuttall-Strand stages ``(ar_blocks, residual_cov)`` for p = 0, 1, 2, ..., lazily.
 
     ``x`` stacks R equal-shaped panels as ``(R, N, n_samp)``; stage p is
@@ -128,8 +129,9 @@ def _lattice_stages(x: np.ndarray):
     samples, so a stage costs O(N² n_samp + m N³ + m² N²) where filtering
     the data would take three O(N² n_samp) products.  ``W`` and ``W T``
     share a buffer pair, the backward row one block to the right of the
-    forward row.  The operators hold orders up to a capacity of 64; when a
-    stage passes it, the capacity doubles and ``E`` is rebuilt for it.
+    forward row.  The operators hold orders up to a capacity, ``cap``; when
+    a stage passes it, the capacity doubles and ``E`` is rebuilt for it.
+    The capacity changes the buffers' sizes, not a stage's values.
     The AR blocks are read off the forward filter.
 
     At N = 2-3 a stage's cost is the number of numpy calls, not
@@ -150,7 +152,6 @@ def _lattice_stages(x: np.ndarray):
     c0 = x @ x.swapaxes(1, 2)
     P = np.broadcast_to((c0 / n_samp)[:, None], (r, 2, n, n)).copy()
     yield np.zeros((r, 0, n, n)), P[:, 0]
-    cap = 64  # the highest order the operators hold
     lags = np.zeros((r, (2 * cap + 1) * n, n))  # C_k in block cap - k, for k = -cap..cap
     lags[:, cap * n : (cap + 1) * n] = c0
     # [W, W T] per panel, twice: the pair axis leads, so matmul writes in place
@@ -203,37 +204,56 @@ class _LatticeGroup:
     memo that holds it.  A failed stage spends the group, and only
     :func:`_nuttall_strand` takes it out of a member's memo, on that
     member's next fit.
+
+    A group serves orders up to its ``depth``, and its operators start
+    sized for it, up to the default capacity of 64.  Once its stages reach
+    a finite depth, the group closes its generator, which frees the stacked
+    data, the edge windows ``E``, the filter pair and the lag products, and
+    serves the stages it holds.
     """
 
-    def __init__(self, data: np.ndarray):
+    def __init__(self, data: np.ndarray, depth: float = np.inf):
         self._lock = threading.Lock()
-        self._gen = _lattice_stages(data)
+        self._depth = depth
+        self._gen = _lattice_stages(data, min(depth, 64))
         self._stages = [[] for _ in data]  # per member, [(ar_blocks, residual_cov)]
 
     def __len__(self) -> int:
         return len(self._stages)
 
-    def stages(self, index: int, p_max: int) -> list:
-        """Member ``index``'s stages for p = 0..p_max, extending the lattice as needed."""
+    def stages(self, index: int, p_max: int) -> list | None:
+        """Member ``index``'s stages for p = 0..p_max, extending the lattice as needed.
+
+        None if ``p_max`` is past the group's depth.
+        """
         with self._lock:
             if self._gen is None:
                 raise NumericalError("a stage failed in another panel of this lattice group")
+            if p_max > self._depth:
+                return None
+            own = self._stages[index]
             try:
-                while len(self._stages[index]) <= p_max:
+                while len(own) <= p_max:
                     ar, cov = next(self._gen)
-                    for own, ar_i, cov_i in zip(self._stages, ar, cov):
-                        own.append((ar_i, cov_i))
+                    for member, ar_i, cov_i in zip(self._stages, ar, cov):
+                        member.append((ar_i, cov_i))
             except BaseException:
                 self._gen = None  # the generator is spent
                 raise
-            return self._stages[index][: p_max + 1]
+            if len(own) > self._depth:
+                self._gen.close()  # no later stage is served: its buffers go
+            return own[: p_max + 1]
 
 
-def _join_lattice(panels) -> None:
-    """Let equal-shaped ``panels`` share one Nuttall-Strand lattice (see :func:`_nuttall_strand`)."""
+def _join_lattice(panels, depth: float = np.inf) -> None:
+    """Let equal-shaped ``panels`` share one Nuttall-Strand lattice (see :func:`_nuttall_strand`).
+
+    ``depth`` is the deepest order the group serves; a fit that reads past
+    it continues on a lone lattice.
+    """
     data = [panel.data for panel in panels]
     # a lone panel is viewed, not copied; Monte Carlo runs group only short panels
-    group = _LatticeGroup(np.stack(data) if len(data) > 1 else data[0][None])
+    group = _LatticeGroup(np.stack(data) if len(data) > 1 else data[0][None], depth)
     for index, panel in enumerate(panels):
         with panel._lock:
             panel._memo["lattice"] = (group, index)
@@ -251,14 +271,21 @@ def _nuttall_strand(panel: TimeSeriesPanel, p_max: int) -> list:
     through one lag product per member; what a member keeps between stages
     is its filters, the lag products and the edge windows ``E``, about
     ``660 N² + 8320 N`` doubles for any p up to 64 and any n_s (154 KB at
-    N = 2, 133 KB of it ``E``).  A Monte Carlo run groups
-    ``max(1, 8192 // (N n_s))`` realizations, four on example 1 at
-    n_s = 1024.  In five rounds of the benchmark's mc-ex1-short workload
-    (32 realizations a call, 1 BLAS thread) groups of 4, 16 and 32 took a
-    median 0.270, 0.244 and 0.224 s a call, gaps smaller than the quartile
-    spread of groups of four (0.259-0.345 s), while peak RSS rose from 44.5
-    to 46.2 and 48.8 MB, before ``E`` added its 133 KB a member; so the
-    smallest group stays.
+    N = 2, 133 KB of it ``E``), or ``520 N² + 5100 N`` (98 KB at N = 2) in
+    a group sized for order 50.  A Monte Carlo group is joined with the
+    deepest order its fits read (fit_var's ``p_max`` of 30, or the long AR
+    order 50 of the VMA and VARMA fits), and it frees those buffers when
+    it gets there, long before the group's other work is done.  A run
+    groups ``max(1, 16384 // (N n_s))`` realizations, eight on example 1
+    and five on example 2 at n_s = 1024.  Before the buffers were freed, in
+    five rounds of the benchmark's mc-ex1-short workload (32 realizations a
+    call, 1 BLAS thread), groups of 4, 16 and 32 took a median 0.270, 0.244
+    and 0.224 s a call, gaps smaller than the quartile spread of groups of
+    four (0.259-0.345 s), while peak RSS rose from 44.5 to 46.2 and
+    48.8 MB.  With the buffers freed, groups of eight, together with the
+    Welch estimates of a group factored as one Wilson stack, took it from
+    0.273 to 0.230 s a call (medians of 10 alternating pairs against
+    groups of four), at a peak RSS of 44.18 MB against 44.13.
 
     A stage that fails spends its group for every member.  Each member's
     own next fit, under its own lock, drops the spent group from its memo
@@ -266,7 +293,9 @@ def _nuttall_strand(panel: TimeSeriesPanel, p_max: int) -> list:
     R = 1, so only the panel whose stage fails raises.  A group of one
     re-raises; its lattice has left the memo, so a retry fails the same
     way.  Any other exception drops the group the same way and
-    propagates, from a group of any size.
+    propagates, from a group of any size.  A request past the group's
+    depth also drops it from that member's memo, without an error, and
+    continues on a lone lattice that has no depth.
     """
     with panel._lock:
         while True:
@@ -274,11 +303,15 @@ def _nuttall_strand(panel: TimeSeriesPanel, p_max: int) -> list:
                 _join_lattice([panel])
             group, index = panel._memo["lattice"]
             try:
-                return group.stages(index, p_max)
+                stages = group.stages(index, p_max)
             except BaseException as exc:
                 del panel._memo["lattice"]  # any failure spends the group
                 if len(group) == 1 or not isinstance(exc, NumericalError):
                     raise
+                continue
+            if stages is not None:
+                return stages
+            del panel._memo["lattice"]  # past the group's depth
 
 
 def _hq_values(residual_covs, n_samples: int, n_channels: int) -> list:
@@ -307,7 +340,7 @@ def _hq_argmin(values) -> int:
     return best_order
 
 
-def fit_var(panel: TimeSeriesPanel, p_max: int = 30) -> FitReport:
+def fit_var(panel: TimeSeriesPanel, p_max: int = DEFAULT_VAR_P_MAX) -> FitReport:
     """Nuttall-Strand VAR fit with Hannan-Quinn selection over p = 1..p_max."""
     if p_max < 1:
         raise ConfigError(f"p_max must be a positive integer, got {p_max}")

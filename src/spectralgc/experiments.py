@@ -18,10 +18,12 @@ reference evaluated there for scoring.  Total DTF is computed only for
 the fields that are written: realization 0 and the analyzed panel.
 Short realizations are simulated and fitted in groups, sized by
 :data:`LATTICE_GROUP_SAMPLES`, that share one batched Nuttall-Strand
-lattice; the measurements behind the rule are at
+lattice, which frees its buffers once it reaches the deepest order the
+fits read, and factor their Welch estimates as one Wilson stack (see
+:func:`_group_fields`); the measurements behind the rule are at
 ``estimators._nuttall_strand``.  Each realization's results are
 bit-identical to fitting it alone, and a group is one task of the
-process pool.
+process pool.  A data panel is analyzed as a group of one.
 
 A run's serial work overlaps its pool: every group is submitted, then
 the parent computes the reference fields while the workers fit.  The
@@ -30,7 +32,8 @@ realization 0's fields, the only ones written, go to disk as soon as its
 group is scored, so a run's memory does not grow with the number of
 realizations.  The summary and the MSE tables follow the last group.  A
 serial run does the same work in the same order.  Warnings raised while
-fitting, in a worker or not, reach the caller in realization order.
+fitting, in a worker or not, reach the caller in realization order, a
+group's Welch and Wilson warnings ahead of its other fits'.
 
 Every source gets its default methods and orders from one rule (see
 :func:`_resolve_methods_and_orders`); a data panel has no generator and
@@ -58,7 +61,14 @@ from .connectivity import (
     total_pdc,
 )
 from .errors import ConfigError
-from .estimators import _join_lattice, fit_var, fit_vma, fit_varma
+from .estimators import (
+    DEFAULT_LONG_AR_ORDER,
+    DEFAULT_VAR_P_MAX,
+    _join_lattice,
+    fit_var,
+    fit_vma,
+    fit_varma,
+)
 from .models import (
     FrequencyGrid,
     VarmaModel,
@@ -68,7 +78,9 @@ from .models import (
 )
 from .simulate import TimeSeriesPanel, _check_panel, load_panel_csv, simulate
 from .welch import _check_segment_len, welch_cross_spectrum
-from .wilson import wilson_factorize
+# wilson_factorize stays bound here: bench/tracing.py wraps this name, though the runs
+# below factor their spectra through the stack
+from .wilson import _factorize_stack, wilson_factorize  # noqa: F401
 
 __all__ = ["ExperimentSpec", "example_model", "run_example", "run_model", "analyze_panel"]
 
@@ -82,9 +94,9 @@ PARAMETRIC_GRID_POINTS = 512
 EXAMPLE_VMA_Q = {2: 20}
 
 #: realizations per lattice group are ``max(1, LATTICE_GROUP_SAMPLES // (N n_s))``:
-#: four at N = 2, n_s = 1024, one at n_s = 16384 (timings and memory per group
-#: size are at ``estimators._nuttall_strand``)
-LATTICE_GROUP_SAMPLES = 8192
+#: eight at N = 2 and five at N = 3 for n_s = 1024, one at n_s = 16384 (timings
+#: and memory per group size are at ``estimators._nuttall_strand``)
+LATTICE_GROUP_SAMPLES = 16384
 
 #: the spec fields :func:`analyze_panel` reads, the only ones its summary records
 _ANALYZE_FIELDS = ("panel_path", "methods", "orders", "segment_len", "out_dir")
@@ -205,34 +217,57 @@ def _resolve_methods_and_orders(spec: ExperimentSpec, model: VarmaModel | None):
     return tuple(methods), vma_q, varma_pq
 
 
-def _fit_method(method: str, panel: TimeSeriesPanel, spec: ExperimentSpec, vma_q, varma_pq):
-    """Run one estimator; returns (factor, (p, q) actually used)."""
+def _fit_method(method: str, panel: TimeSeriesPanel, vma_q, varma_pq):
+    """Run one parametric estimator; returns (factor, (p, q) actually used)."""
     if method == "var":
         report = fit_var(panel)
     elif method == "vma":
         report = fit_vma(panel, vma_q)
     elif method == "varma":
         report = fit_varma(panel, varma_pq[0], varma_pq[1])
-    elif method == "wn":
-        _check_panel(panel)  # Wilson cannot factor the singular spectrum of a constant channel
-        spectrum = welch_cross_spectrum(panel, segment_len=spec.segment_len)
-        return wilson_factorize(spectrum), None
     else:  # pragma: no cover - guarded upstream
         raise ConfigError(f"unknown method {method!r}")
     grid = FrequencyGrid(PARAMETRIC_GRID_POINTS)
     return transfer_function(report.model, grid), report.selected_order
 
 
-def _panel_fields(
-    panel: TimeSeriesPanel, spec: ExperimentSpec, methods, vma_q, varma_pq, with_dtf: bool
-):
+def _lattice_depth(methods) -> int:
+    """The deepest lattice order the fits of ``methods`` read: fit_var's p_max, the long AR order."""
+    return max(
+        [DEFAULT_VAR_P_MAX] * ("var" in methods)
+        + [DEFAULT_LONG_AR_ORDER] * bool({"vma", "varma"} & set(methods)),
+        default=0,
+    )
+
+
+def _wn_factors(panels, segment_len: int) -> list:
+    """Each panel's Welch + Wilson factor, or the error its own fit raises; one Wilson stack for all."""
+    spectra = []
+    for panel in panels:
+        try:
+            _check_panel(panel)  # Wilson cannot factor the singular spectrum of a constant channel
+            spectra.append(welch_cross_spectrum(panel, segment_len=segment_len))
+        except ConfigError as exc:  # raised by _panel_fields, in its turn
+            spectra.append(exc)
+    factors = iter(_factorize_stack([s for s in spectra if not isinstance(s, Exception)]))
+    return [s if isinstance(s, Exception) else next(factors) for s in spectra]
+
+
+def _panel_fields(panel: TimeSeriesPanel, methods, vma_q, varma_pq, with_dtf: bool, wn):
     """Fit every method to one panel; returns tPDC, tDTF and order dicts keyed by method.
 
-    The tDTF dict stays empty unless ``with_dtf``: only written fields need it.
+    ``wn`` is the panel's entry of :func:`_wn_factors`, raised if it is an
+    error when the method loop reaches ``wn``.  The tDTF dict stays empty
+    unless ``with_dtf``: only written fields need it.
     """
     tpdc_fields, tdtf_fields, orders_used = {}, {}, {}
     for method in methods:
-        factor, order = _fit_method(method, panel, spec, vma_q, varma_pq)
+        if method != "wn":
+            factor, order = _fit_method(method, panel, vma_q, varma_pq)
+        elif isinstance(wn, Exception):
+            raise wn
+        else:
+            factor, order = wn, None
         tpdc_fields[method] = total_pdc(factor, method_tag=method)
         if with_dtf:
             tdtf_fields[method] = total_dtf(factor, method_tag=method)
@@ -240,8 +275,26 @@ def _panel_fields(
     return tpdc_fields, tdtf_fields, orders_used
 
 
+def _group_fields(panels, spec: ExperimentSpec, methods, vma_q, varma_pq, dtf_first: bool):
+    """Fit every method to each of ``panels`` as one group; one ``(tPDC, tDTF, orders)`` triple each.
+
+    The panels share one Nuttall-Strand lattice, which frees its buffers at
+    the deepest order their fits read, and their Welch spectra are factored
+    as one Wilson stack.  Each panel's fields are bit-identical to those it
+    gets alone, and the first error raised is the one a panel-by-panel,
+    method-by-method run would raise first.  Only the first panel gets
+    tDTF fields, and only if ``dtf_first``.
+    """
+    _join_lattice(panels, _lattice_depth(methods))
+    wn = _wn_factors(panels, spec.segment_len) if "wn" in methods else [None] * len(panels)
+    return [
+        _panel_fields(panel, methods, vma_q, varma_pq, dtf_first and i == 0, factor)
+        for i, (panel, factor) in enumerate(zip(panels, wn))
+    ]
+
+
 def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q, varma_pq, rs):
-    """Simulate realizations ``rs`` as one lattice group and fit every method to each.
+    """Simulate realizations ``rs`` and fit them as one group (see :func:`_group_fields`).
 
     Returns one ``(tPDC, tDTF, orders)`` triple per realization, in order,
     and the warnings the group raised as ``(category, message, filename,
@@ -253,11 +306,7 @@ def _realization_fields(model: VarmaModel, spec: ExperimentSpec, methods, vma_q,
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         panels = [simulate(model, spec.n_samples, spec.base_seed + r) for r in rs]
-        _join_lattice(panels)
-        fields = [
-            _panel_fields(panel, spec, methods, vma_q, varma_pq, with_dtf=r == 0)
-            for r, panel in zip(rs, panels)
-        ]
+        fields = _group_fields(panels, spec, methods, vma_q, varma_pq, dtf_first=rs[0] == 0)
     modules = {getattr(m, "__file__", None): name for name, m in list(sys.modules.items())} if caught else {}
     return fields, [
         (w.category, str(w.message), w.filename, w.lineno, modules.get(w.filename)) for w in caught
@@ -462,8 +511,8 @@ def analyze_panel(spec: ExperimentSpec) -> dict:
         raise ConfigError("need at least 2 channels for connectivity analysis")
     methods, vma_q, varma_pq = _resolve_methods_and_orders(spec, None)
 
-    tpdc_fields, tdtf_fields, orders = _panel_fields(
-        panel, spec, methods, vma_q, varma_pq, with_dtf=True
+    ((tpdc_fields, tdtf_fields, orders),) = _group_fields(
+        [panel], spec, methods, vma_q, varma_pq, dtf_first=True
     )
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -85,14 +85,15 @@ def _stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     interleaved ``(re, im)`` float view and every entry ``x + iy`` of ``b``
     becomes the real block ``[[x, y], [-y, x]]``, whose two rows are the
     float views of ``x + iy`` and ``i (x + iy)``: the real product of these
-    is ``a @ b`` again in interleaved form.
+    is ``a @ b`` again in interleaved form.  Any leading axes of ``a`` and
+    ``b`` are stack axes.
     """
-    h, k, m = b.shape
-    rows = np.empty((h, k, 2, m), dtype=complex)
-    rows[:, :, 0] = b
-    np.multiply(b, 1j, out=rows[:, :, 1])
+    *stack, k, m = b.shape
+    rows = np.empty((*stack, k, 2, m), dtype=complex)
+    rows[..., 0, :] = b
+    np.multiply(b, 1j, out=rows[..., 1, :])
     a_real = np.ascontiguousarray(a, dtype=complex).view(float)
-    return (a_real @ rows.view(float).reshape(h, 2 * k, 2 * m)).view(complex)
+    return (a_real @ rows.view(float).reshape(*stack, 2 * k, 2 * m)).view(complex)
 
 
 def _check_leading_axis(values: np.ndarray, grid: FrequencyGrid, what: str) -> None:

@@ -259,8 +259,8 @@ def _count_stages(monkeypatch):
     counter = {"stages": 0, "steps": 0}
     original = estimators._lattice_stages
 
-    def counting(x):
-        for k, stage in enumerate(original(x)):
+    def counting(x, cap):
+        for k, stage in enumerate(original(x, cap)):
             counter["stages"] += (k > 0) * len(x)
             counter["steps"] += k > 0
             yield stage
@@ -280,7 +280,8 @@ def test_one_lattice_per_realization(monkeypatch, example_id, shared_stages, sep
     counter["stages"] = counter["steps"] = 0
     panel = simulate(model, spec.n_samples, spec.base_seed)
     for method in methods:
-        experiments._fit_method(method, _fresh(panel), spec, vma_q, varma_pq)
+        if method != "wn":  # Welch and Wilson run no lattice stages
+            experiments._fit_method(method, _fresh(panel), vma_q, varma_pq)
     assert counter["stages"] == counter["steps"] == separate_stages
 
 
@@ -441,8 +442,8 @@ def _fit_concurrently(monkeypatch, panels):
     counter = _count_stages(monkeypatch)
     counting = estimators._lattice_stages
 
-    def slow(x):
-        for stage in counting(x):
+    def slow(x, cap):
+        for stage in counting(x, cap):
             time.sleep(1e-4)
             yield stage
 
@@ -612,6 +613,43 @@ def test_lattice_past_order_n_s_minus_1_spends_its_group(failing):
     assert len(other._memo["lattice"][0]) == 1 and len(got) == len(alone) == 21
     for m, ((ar, cov), (ar_alone, cov_alone)) in enumerate(zip(got, alone)):
         assert np.array_equal(ar, ar_alone) and np.array_equal(cov, cov_alone), m
+
+
+def _assert_same_stages(got, want):
+    assert len(got) == len(want)
+    for m, ((ar, cov), (ar_want, cov_want)) in enumerate(zip(got, want)):
+        assert np.array_equal(ar, ar_want) and np.array_equal(cov, cov_want), m
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_lattice_group_frees_its_buffers_at_its_depth(monkeypatch, size):
+    edges = []
+    real_edge_windows = estimators._edge_windows
+
+    def tracked_edge_windows(x, cap):
+        e = real_edge_windows(x, cap)
+        edges.append(weakref.ref(e))
+        return e
+
+    monkeypatch.setattr(estimators, "_edge_windows", tracked_edge_windows)
+    panels = [simulate(example_model(2), 1024, seed=s) for s in range(size)]
+    estimators._join_lattice(panels, 12)
+    group = panels[0]._memo["lattice"][0]
+    got = estimators._nuttall_strand(panels[0], 12)  # reaches the depth
+    gc.collect()
+    assert len(edges) == 1 and edges[0]() is None  # E went with the generator
+    served = [estimators._nuttall_strand(panel, 7) for panel in panels]
+    assert len(edges) == 1  # the group serves the stages it holds, with no new E
+    for panel, stages in zip(panels, served):
+        _assert_same_stages(stages, estimators._nuttall_strand(_fresh(panel), 7))
+        assert panel._memo["lattice"][0] is group
+    _assert_same_stages(got, estimators._nuttall_strand(_fresh(panels[0]), 12))
+    # a deeper request continues on a lone lattice of the same stages
+    deeper = panels[-1]
+    _assert_same_stages(estimators._nuttall_strand(deeper, 20), estimators._nuttall_strand(_fresh(deeper), 20))
+    assert len(deeper._memo["lattice"][0]) == 1 and deeper._memo["lattice"][0] is not group
+    if size > 1:
+        assert panels[0]._memo["lattice"][0] is group
 
 
 @pytest.mark.parametrize("cap, n_samples", [(8, 1), (8, 5), (8, 8), (8, 13), (64, 40), (64, 64), (64, 65), (64, 300)])

@@ -30,6 +30,11 @@ from spectralgc import (
 from spectralgc import experiments
 
 
+def _group_size(example_id, n_samples=1024):
+    """Realizations per lattice group of a bundled example."""
+    return max(1, experiments.LATTICE_GROUP_SAMPLES // (example_model(example_id).n_channels * n_samples))
+
+
 def _spec(tmp_path, name="out", **kw):
     defaults = dict(n_samples=1024, n_realizations=2, segment_len=128, out_dir=str(tmp_path / name))
     defaults.update(kw)
@@ -248,8 +253,8 @@ def test_analyze_vma_requires_orders(tmp_path):
 
 
 def test_process_pool_writes_the_same_bundle(tmp_path):
-    # at n_s = 1024 example 2 runs groups of two realizations, example 1 groups of four
-    for example_id, n_realizations in ((2, 4), (1, 6)):
+    # two groups each, the second one short
+    for example_id, n_realizations in ((2, _group_size(2) + 1), (1, _group_size(1) + 2)):
         bundles = {}
         for n_jobs in (1, 2):
             run_example(_spec(tmp_path, example_id=example_id, n_realizations=n_realizations, n_jobs=n_jobs))
@@ -277,10 +282,11 @@ def test_process_pool_is_clamped_to_the_work(tmp_path, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     fields = {}
     for n_jobs in (1, 8):
-        summary = run_example(_spec(tmp_path, example_id=1, n_realizations=6, n_jobs=n_jobs))
+        spec = _spec(tmp_path, example_id=1, n_realizations=_group_size(1) + 2, n_jobs=n_jobs)
+        summary = run_example(spec)
         assert summary["config"]["n_jobs"] == n_jobs  # recorded as requested
         fields[n_jobs] = (tmp_path / "out" / "fields_r0.csv").read_bytes()
-    # six realizations in groups of four are two tasks, which never need more
+    # a group and two more realizations are two tasks, which never need more
     # than two workers; one CPU runs in-process
     assert requested == ([2] if (os.cpu_count() or 1) > 1 else [])
     assert fields[8] == fields[1]
@@ -291,8 +297,8 @@ def test_realization_retains_no_panel(monkeypatch):
     refs = []
     real_join = experiments._join_lattice
 
-    def tracking_join(panels):
-        real_join(panels)
+    def tracking_join(panels, depth):
+        real_join(panels, depth)
         refs.extend(weakref.ref(panel) for panel in panels)
         refs.append(weakref.ref(panels[0]._memo["lattice"][0]))
 
@@ -304,6 +310,47 @@ def test_realization_retains_no_panel(monkeypatch):
     assert len(refs) == 3 and all(ref() is None for ref in refs)
     assert len(fields) == 2 and all(set(f[0]) == set(methods) for f in fields)
     assert caught == []
+
+
+@pytest.mark.parametrize("example_id, n_realizations", [(1, 10), (2, 7)])
+def test_bundle_does_not_depend_on_the_group_size(tmp_path, monkeypatch, example_id, n_realizations):
+    # groups of one, of four and the default size, each run ending in a short group
+    per_realization = example_model(example_id).n_channels * 1024
+    sizes = (1, 4, _group_size(example_id))
+    assert n_realizations % sizes[1] and n_realizations % sizes[2]
+    bundles = []
+    for size in sizes:
+        monkeypatch.setattr(experiments, "LATTICE_GROUP_SAMPLES", size * per_realization)
+        assert _group_size(example_id) == size
+        run_example(_spec(tmp_path, example_id=example_id, n_realizations=n_realizations))
+        bundles.append({name: (tmp_path / "out" / name).read_bytes() for name in ("summary.json", "fields_r0.csv")})
+    assert bundles[0] == bundles[1] == bundles[2]
+
+
+@pytest.mark.parametrize("var_seed, wn_seed", [(1, 3), (3, 1)])
+def test_group_raises_its_first_error_in_realization_order(monkeypatch, var_seed, wn_seed):
+    # a Welch + Wilson error is held until its realization's turn, as alone
+    real_fit_var, real_welch = experiments.fit_var, experiments.welch_cross_spectrum
+
+    def failing_fit_var(panel):
+        if panel.meta["seed"] == var_seed:
+            raise NumericalError(f"var of seed {var_seed}")
+        return real_fit_var(panel)
+
+    def failing_welch(panel, segment_len):
+        spectrum = real_welch(panel, segment_len=segment_len)
+        if panel.meta["seed"] == wn_seed:
+            spectrum.values[:, 0, 0] *= -1.0  # indefinite
+        return spectrum
+
+    monkeypatch.setattr(experiments, "fit_var", failing_fit_var)
+    monkeypatch.setattr(experiments, "welch_cross_spectrum", failing_welch)
+    spec = ExperimentSpec(example_id=1, n_samples=1024, n_realizations=5, segment_len=128)
+    model = example_model(1)
+    methods, vma_q, varma_pq = experiments._resolve_methods_and_orders(spec, model)
+    first = f"var of seed {var_seed}" if var_seed < wn_seed else "input spectrum has eigenvalue"
+    with pytest.raises(NumericalError, match=first):
+        experiments._realization_fields(model, spec, methods, vma_q, varma_pq, range(5))
 
 
 def _held(simulate, out, first_held):
@@ -344,9 +391,10 @@ def test_bundle_is_written_with_only_realization_0_fields_alive(tmp_path, monkey
 
     monkeypatch.setattr(experiments, "save_field_csv", counting_save)
     real_simulate = experiments.simulate
-    for n_realizations in (8, 16):  # two and four groups of four
+    size = _group_size(1)
+    for n_realizations in (2 * size, 4 * size):  # two and four groups
         out = tmp_path / f"r{n_realizations}"
-        monkeypatch.setattr(experiments, "simulate", _held(real_simulate, out, first_held=4))
+        monkeypatch.setattr(experiments, "simulate", _held(real_simulate, out, first_held=size))
         run_example(_spec(tmp_path, name=out.name, example_id=1, n_realizations=n_realizations, n_jobs=n_jobs))
         assert sorted(p.name for p in out.iterdir()) == ["fields_r0.csv", "mse_table.csv", "mse_table.txt", "summary.json"]
     assert live == [3, 3]
@@ -354,22 +402,23 @@ def test_bundle_is_written_with_only_realization_0_fields_alive(tmp_path, monkey
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_failed_group_leaves_no_fields_and_an_earlier_bundle_intact(tmp_path, monkeypatch, n_jobs):
-    # six realizations are two groups of four and two; the last one fails after
+    # a group and a short one of two; the last realization fails after
     # realization 0's fields went to the partial file
-    spec = _spec(tmp_path, example_id=1, n_realizations=6, n_jobs=n_jobs)
+    last = _group_size(1) + 1
+    spec = _spec(tmp_path, example_id=1, n_realizations=last + 1, n_jobs=n_jobs)
     run_example(_spec(tmp_path, name="earlier", example_id=1, n_realizations=2))
     earlier = {p.name: p.read_bytes() for p in (tmp_path / "earlier").iterdir()}
     real_simulate = experiments.simulate
 
     def failing_simulate(model, n_samples, seed):  # patched before the pool forks
-        if seed == 5:
+        if seed == last:
             raise NumericalError(f"realization {seed} failed")
         return real_simulate(model, n_samples, seed)
 
     monkeypatch.setattr(experiments, "simulate", failing_simulate)
     for out_dir in (tmp_path / "out", tmp_path / "earlier"):
         spec.out_dir = str(out_dir)
-        with pytest.raises(NumericalError, match="realization 5 failed"):
+        with pytest.raises(NumericalError, match=f"realization {last} failed"):
             run_example(spec)
     assert not (tmp_path / "out" / "fields_r0.csv").exists()
     assert list((tmp_path / "out").iterdir()) == []  # no partial file either
@@ -377,15 +426,15 @@ def test_failed_group_leaves_no_fields_and_an_earlier_bundle_intact(tmp_path, mo
 
 
 def test_failed_references_cancel_the_groups_not_started(tmp_path, monkeypatch):
-    # 64 realizations are 16 groups; the references fail while the first groups
-    # run, and only the groups already handed to a worker run to their end
+    # 16 groups; the references fail while the first groups run, and only the
+    # groups already handed to a worker run to their end
     calls = tmp_path / "calls"
     real_join = experiments._join_lattice
 
-    def counting_join(panels):  # once per _realization_fields call, in the worker
+    def counting_join(panels, depth):  # once per _realization_fields call, in the worker
         with open(calls, "a") as fh:
             fh.write("x")
-        real_join(panels)
+        real_join(panels, depth)
 
     def failing_references(model, spec):
         raise NumericalError("references failed")
@@ -393,7 +442,7 @@ def test_failed_references_cancel_the_groups_not_started(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "_join_lattice", counting_join)
     monkeypatch.setattr(experiments, "_reference_fields", failing_references)
     with pytest.raises(NumericalError, match="references failed"):
-        run_example(_spec(tmp_path, example_id=1, n_realizations=64, n_jobs=2))
+        run_example(_spec(tmp_path, example_id=1, n_realizations=16 * _group_size(1), n_jobs=2))
     n_calls = len(calls.read_text()) if calls.exists() else 0
     # two running and the pool's three queued calls at most
     assert n_calls <= 5
@@ -412,19 +461,20 @@ def _warnings_of_serial_and_pooled_runs(tmp_path, monkeypatch, ignored_module=No
     monkeypatch.setattr(experiments, "fit_varma", warning_fit_varma)
     recorded = {}
     for n_jobs in (1, 2):
-        # example 2 at n_s = 1024 runs groups of two: [0, 1], [2, 3], [4]
+        # example 2 at n_s = 1024 runs a group and a short one of two
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if ignored_module:
                 warnings.filterwarnings("ignore", module=ignored_module)
-            run_example(_spec(tmp_path, example_id=2, n_realizations=5, n_jobs=n_jobs))
+            run_example(_spec(tmp_path, example_id=2, n_realizations=_group_size(2) + 2, n_jobs=n_jobs))
         recorded[n_jobs] = [(w.category, str(w.message)) for w in caught]
     return recorded
 
 
 def test_worker_warnings_reach_the_caller(tmp_path, monkeypatch):
     recorded = _warnings_of_serial_and_pooled_runs(tmp_path, monkeypatch)
-    assert recorded[1] == recorded[2] == [(UserWarning, f"VARMA fit of seed {r}") for r in range(5)]
+    want = [(UserWarning, f"VARMA fit of seed {r}") for r in range(_group_size(2) + 2)]
+    assert recorded[1] == recorded[2] == want
 
 
 def test_worker_warnings_keep_their_module(tmp_path, monkeypatch):

@@ -236,3 +236,6 @@ def test_stacked_matmul_equals_complex_matmul(n, h):
         got = models._stacked_matmul(x, y)
         assert got.shape == want.shape and got.dtype == complex
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # a leading stack axis gives each member's product bit for bit
+    stacked = models._stacked_matmul(np.stack([a, a_h]), np.stack([b_h, b]))
+    assert np.array_equal(stacked, np.stack([models._stacked_matmul(a, b_h), models._stacked_matmul(a_h, b)]))

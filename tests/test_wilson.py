@@ -17,6 +17,7 @@ from spectralgc import (
     welch_cross_spectrum,
     wilson_factorize,
 )
+from spectralgc import wilson
 
 
 def test_identity_spectrum_factors_trivially():
@@ -148,3 +149,66 @@ def test_input_of_a_complex_process_rejected():
     values = np.broadcast_to(np.array([[1.0, 0.5j], [-0.5j, 1.0]]), (grid.one_sided_count, 2, 2))
     with pytest.raises(ConfigError, match="conjugate-symmetric"):
         wilson_factorize(SpectralMatrix(grid, values))
+
+
+# ------------------------------------------------------------ stacked members
+
+def _lone(spectrum, **kw):
+    """``wilson_factorize``'s factor, or the exception it raises."""
+    try:
+        return wilson_factorize(spectrum, **kw)
+    except Exception as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.sigma, want.sigma)
+        assert got.diagnostics == want.diagnostics
+
+
+def _stack_members():
+    """Example-1 Welch spectra and example-4's exact one on the same 129-point grid."""
+    spectra = [welch_cross_spectrum(simulate(example_model(1), 1024, seed=s)) for s in range(6)]
+    exact = theoretical_spectrum(example_model(4), FrequencyGrid(256))
+    return spectra + [exact, SpectralMatrix(exact.grid, np.ascontiguousarray(exact.values))]
+
+
+@pytest.mark.parametrize("max_iter", [500, 13])
+def test_stacked_members_match_lone_calls(max_iter):
+    # the members leave at different iterations; with 13 the slower ones run out
+    spectra = _stack_members()
+    got = wilson._factorize_stack(spectra, max_iter=max_iter)
+    want = [_lone(s, max_iter=max_iter) for s in spectra]
+    iterations = {w.diagnostics["iterations"] for w in want if not isinstance(w, Exception)}
+    assert len(iterations) >= 3
+    assert any(isinstance(w, NonConvergenceError) for w in want) == (max_iter == 13)
+    for g, w in zip(got, want):
+        _assert_same_outcome(g, w)
+
+
+def test_stack_of_one_in_c_order():
+    # the guard's case: a spectrum evaluated on a grid, in C order, not Welch's layout
+    S = theoretical_spectrum(example_model(1), FrequencyGrid(1024))
+    c_order = SpectralMatrix(S.grid, np.ascontiguousarray(S.values))
+    assert c_order.values.flags.c_contiguous
+    (got,) = wilson._factorize_stack([c_order], tol=1e-8, max_iter=5000)
+    _assert_same_outcome(got, _lone(c_order, tol=1e-8, max_iter=5000))
+
+
+def test_failing_members_leave_the_others_unchanged():
+    spectra = _stack_members()
+    grid = spectra[0].grid
+    indefinite = SpectralMatrix(grid, spectra[1].values * np.array([1.0, -1.0])[:, None])
+    complex_ends = spectra[2].values.copy()
+    complex_ends[0, 0, 1] += 0.5j
+    complex_ends[0, 1, 0] -= 0.5j
+    members = [spectra[0], indefinite, spectra[3], SpectralMatrix(grid, complex_ends), spectra[6]]
+    got = wilson._factorize_stack(members)
+    want = [_lone(s) for s in members]
+    assert isinstance(want[1], NonPositiveSpectrumError) and isinstance(want[3], ConfigError)
+    for g, w in zip(got, want):
+        _assert_same_outcome(g, w)

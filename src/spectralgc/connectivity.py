@@ -38,6 +38,7 @@ from .models import (
     SpectralMatrix,
     _check_leading_axis,
     _read_rows,
+    _stacked_matmul,
     _write_rows,
 )
 
@@ -184,7 +185,7 @@ def total_dtf(factor: SpectralFactor, method_tag: str = "") -> ConnectivityField
     """
     gamma = gamma_factor(factor)
     structure = innovation_structure(factor.sigma)
-    values = (gamma @ structure.R) * np.conj(gamma)
+    values = _stacked_matmul(gamma, structure.R) * np.conj(gamma)
     return ConnectivityField(factor.grid, values, "tDTF", method_tag)
 
 
@@ -243,7 +244,7 @@ def total_pdc(factor: SpectralFactor, method_tag: str = "") -> ConnectivityField
     diagonal and is complex valued otherwise.
     """
     G = _inverse_transfer(factor)
-    weighted = _inverse_covariance(factor.sigma) @ G
+    weighted = _stacked_matmul(_inverse_covariance(factor.sigma), G)
     # (S^{-1})_jj = (G^H sigma^{-1} G)_jj, the column normalizer
     den = np.real(np.einsum("fij,fij->fj", np.conj(G), weighted))
     values = np.conj(G) * weighted / den[:, None, :]

@@ -13,7 +13,14 @@ the generator itself is nonminimum-phase), the MA polynomial is replaced
 by a Wilson factorization of its spectrum, the minimum-phase counterpart
 that any second-order method can identify anyway.  That swap is inexact
 next to the unit circle and can leave a zero outside it (see
-:func:`_ensure_minimum_phase`).
+:func:`_minimum_phase_stack`).
+
+Panels of a Monte Carlo group share one Nuttall-Strand lattice
+(:func:`_join_lattice`) and make their two-step fits together
+(:func:`_join_two_step`): the first member's VMA or VARMA fit regresses
+every member and swaps all their MA parts that need it in one Wilson
+stack, and each member's report, or error, is handed out on its own fit.
+Every fit is bit-identical to the one its panel gets alone.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import wilson
 from .errors import ConfigError, NumericalError
 from .models import (
     BLOCK_BYTES,
@@ -31,6 +39,7 @@ from .models import (
     FrequencyGrid,
     SpectralMatrix,
     VarmaModel,
+    _stacked_matmul,
     eval_ma_polynomial,
     ar_root_report,
     ma_root_report,
@@ -378,13 +387,17 @@ def _long_var_residuals(panel: TimeSeriesPanel, long_ar_order: int) -> np.ndarra
         return panel._memo[key]
 
 
-def _ensure_minimum_phase(ma_blocks: np.ndarray, sigma: np.ndarray):
-    """Swap an MA polynomial for its minimum-phase spectral equivalent.
+def _minimum_phase_stack(parts) -> list:
+    """Steer the MA part of each ``(ma_blocks, sigma)`` of ``parts`` (one order q) to minimum phase.
 
-    Leaves minimum-phase inputs untouched.  Otherwise the MA-part
-    spectrum ``B sigma B^H`` is refactorized on a fine grid and the lag
-    coefficients of the minimum-phase factor (exactly q of them, up to
-    grid truncation) are read back out.
+    Returns one entry per part, in order: the part itself if its MA roots
+    lie within ``1 + 1e-6``; otherwise the minimum-phase spectral
+    equivalent, or the error the swap raised.  A swap refactorizes the
+    MA-part spectrum ``B sigma B^H`` on a fine grid and reads back the lag
+    coefficients of its minimum-phase factor (exactly q of them, up to grid
+    truncation).  Every swapped part of the stack runs in one Wilson stack
+    (``wilson._factorize_stack``), so each gets the factor, and the result,
+    it gets alone.
 
     The result is not guaranteed to be minimum-phase.  Wilson's fixed
     point creeps near a zero on the unit circle, and grid truncation
@@ -392,27 +405,45 @@ def _ensure_minimum_phase(ma_blocks: np.ndarray, sigma: np.ndarray):
     largest MA root goes from 1.000138 to 1.003363 and from 1.000091 to
     1.004099, further outside than before the swap.
     """
-    q = ma_blocks.shape[0] - 1
-    probe = VarmaModel(np.zeros((0,) + sigma.shape), ma_blocks, sigma)
-    report = ma_root_report(probe)
-    if report.roots.size == 0 or np.max(report.magnitudes) <= 1.0 + 1e-6:
-        return ma_blocks, sigma
+    out = list(parts)
+    swapped, spectra = [], []
+    for k, (ma_blocks, sigma) in enumerate(parts):
+        probe = VarmaModel(np.zeros((0,) + sigma.shape), ma_blocks, sigma)
+        report = ma_root_report(probe)
+        if report.roots.size == 0 or np.max(report.magnitudes) <= 1.0 + 1e-6:
+            continue
+        grid = FrequencyGrid(max(1024, 8 * ma_blocks.shape[0]))
+        B = eval_ma_polynomial(probe, grid.values)
+        S = _stacked_matmul(_stacked_matmul(B, sigma), B.conj().transpose(0, 2, 1))
+        spectra.append(SpectralMatrix(grid, S))
+        swapped.append(k)
+    if not swapped:
+        return out
 
-    # looked up at call time, so a wrapper installed on spectralgc.wilson (as
-    # bench/tracing.py installs to count minimum-phase swaps) sees this call
-    from .wilson import wilson_factorize
-
-    grid = FrequencyGrid(max(1024, 8 * (q + 1)))
-    B = eval_ma_polynomial(probe, grid.values)
-    spec = SpectralMatrix(grid, B @ sigma @ B.conj().transpose(0, 2, 1))
     # Roots near the unit circle make the fixed point contract slowly,
     # hence the generous iteration budget.
-    factor = wilson_factorize(spec, tol=1e-8, max_iter=5000)
-    lags = np.fft.irfft(factor.values, n=grid.n_points, axis=0)[: q + 1]
-    lag0_inv = np.linalg.inv(lags[0])
-    new_ma = lags @ lag0_inv
-    new_sigma = lags[0] @ factor.sigma @ lags[0].T
-    return new_ma, 0.5 * (new_sigma + new_sigma.T)
+    factors = wilson._factorize_stack(spectra, tol=1e-8, max_iter=5000)  # looked up at call time
+    for k, factor in zip(swapped, factors):
+        if isinstance(factor, Exception):
+            out[k] = factor
+            continue
+        q = parts[k][0].shape[0] - 1
+        lags = np.fft.irfft(factor.values, n=factor.grid.n_points, axis=0)[: q + 1]
+        new_ma = lags @ np.linalg.inv(lags[0])
+        new_sigma = lags[0] @ factor.sigma @ lags[0].T
+        out[k] = new_ma, 0.5 * (new_sigma + new_sigma.T)
+    return out
+
+
+def _ensure_minimum_phase(ma_blocks: np.ndarray, sigma: np.ndarray):
+    """Swap an MA polynomial for its minimum-phase spectral equivalent: the stack of one.
+
+    See :func:`_minimum_phase_stack`; an error of the swap is raised.
+    """
+    (result,) = _minimum_phase_stack([(ma_blocks, sigma)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _normal_equations(x: np.ndarray, eps: np.ndarray, p: int, q: int):
@@ -449,8 +480,8 @@ def _normal_equations(x: np.ndarray, eps: np.ndarray, p: int, q: int):
     return ZZt, ZYt
 
 
-def _fit_two_step(panel: TimeSeriesPanel, p: int, q: int, long_ar_order: int) -> FitReport:
-    """Two-step VARMA(p, q) fit of a checked panel; ``p = 0`` is the VMA(q) fit.
+def _regress_two_step(panel: TimeSeriesPanel, p: int, q: int, long_ar_order: int):
+    """``(ar, ma, sigma)`` of the two-step VARMA(p, q) regression of a checked panel, before the guard.
 
     Least squares ``x(n) - eps(n) ~ C z(n)``, with ``z(n)`` the lags
     ``x(n - 1..p)`` and ``eps(n - 1..q)`` (AR blocks first in ``C``), over
@@ -475,9 +506,99 @@ def _fit_two_step(panel: TimeSeriesPanel, p: int, q: int, long_ar_order: int) ->
         [np.eye(n)[None], C[:, p * n :].reshape(n, q, n).transpose(1, 0, 2)], axis=0
     )
     sigma = eps @ eps.T / eps.shape[1]
-    ma, sigma = _ensure_minimum_phase(ma, 0.5 * (sigma + sigma.T))
-    model = VarmaModel(ar, ma, sigma)
-    return FitReport(model, (p, q), [])
+    return ar, ma, 0.5 * (sigma + sigma.T)
+
+
+def _fit_two_step_stack(panels, p: int, q: int, long_ar_order: int) -> list:
+    """The two-step VARMA(p, q) fit of each of ``panels``: its ``FitReport``, or the error it raises.
+
+    Each panel is checked and regressed on its own (see
+    :func:`_regress_two_step`); the MA parts of all that get that far pass
+    the minimum-phase guard as one stack (:func:`_minimum_phase_stack`).
+    Every entry is the one a stack of one gives, bit for bit.  Only an
+    ``Exception`` is handed back; a ``KeyboardInterrupt`` propagates.
+    """
+    parts = []
+    for panel in panels:
+        try:
+            _check_panel(panel)
+            parts.append(_regress_two_step(panel, p, q, long_ar_order))
+        except Exception as exc:
+            parts.append(exc)
+    fitted = [k for k, part in enumerate(parts) if not isinstance(part, Exception)]
+    guarded = _minimum_phase_stack([parts[k][1:] for k in fitted])
+    for k, result in zip(fitted, guarded):
+        try:
+            parts[k] = result if isinstance(result, Exception) else FitReport(
+                VarmaModel(parts[k][0], *result), (p, q), []
+            )
+        except Exception as exc:  # a VarmaModel that rejects its fitted sigma
+            parts[k] = exc
+    return parts
+
+
+class _TwoStepGroup:
+    """The two-step fits of equal-shaped panels, made for all of them on the first member's fit.
+
+    A group serves the fits ``(p, q, long_ar_order)`` it is joined with.
+    The first member to ask for one makes it for every member as one
+    stack (:func:`_fit_two_step_stack`), under the group's lock, and each
+    member's outcome, report or error, is handed out once, on that
+    member's own fit.  The group holds its panels until it has made every
+    fit it serves; a panel's memo holds the group.
+    """
+
+    def __init__(self, panels, fits):
+        self._lock = threading.Lock()
+        self._panels = list(panels)
+        self._pending = set(fits)
+        self._outcomes = {}  # per fit, one outcome per member; None once handed out
+
+    def outcome(self, index: int, fit: tuple):
+        """Member ``index``'s report or error for ``fit``; None if the group does not serve it (any more)."""
+        with self._lock:
+            if fit in self._pending:
+                self._outcomes[fit] = _fit_two_step_stack(self._panels, *fit)
+                self._pending.remove(fit)
+                if not self._pending:
+                    self._panels = None
+            outcomes = self._outcomes.get(fit)
+            if outcomes is None:
+                return None
+            outcome, outcomes[index] = outcomes[index], None
+            return outcome
+
+
+def _join_two_step(panels, fits) -> None:
+    """Let equal-shaped ``panels`` make their two-step ``fits``, ``(p, q, long_ar_order)`` each, together.
+
+    See :func:`_fit_two_step`.  A panel is in one two-step group at a time.
+    """
+    group = _TwoStepGroup(panels, fits)
+    for index, panel in enumerate(panels):
+        with panel._lock:
+            panel._memo["two_step"] = (group, index)
+
+
+def _fit_two_step(panel: TimeSeriesPanel, p: int, q: int, long_ar_order: int) -> FitReport:
+    """Two-step VARMA(p, q) fit of a checked panel; ``p = 0`` is the VMA(q) fit.
+
+    A panel joined by :func:`_join_two_step` takes its outcome from its
+    group, where the fits of all members were made together and their
+    minimum-phase swaps ran as one Wilson stack; any other fit is a stack
+    of one.  Either way the report, or the error raised, is bit for bit
+    the one a lone fit gives.  The group's lock is taken without the
+    panel's, so a member's fit never waits on the group while holding a
+    lock that the group's work takes.
+    """
+    with panel._lock:
+        entry = panel._memo.get("two_step")
+    outcome = None if entry is None else entry[0].outcome(entry[1], (p, q, long_ar_order))
+    if outcome is None:
+        (outcome,) = _fit_two_step_stack([panel], p, q, long_ar_order)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def fit_vma(panel: TimeSeriesPanel, q: int, long_ar_order: int = DEFAULT_LONG_AR_ORDER) -> FitReport:

@@ -19,9 +19,10 @@ the fields that are written: realization 0 and the analyzed panel.
 Short realizations are simulated and fitted in groups, sized by
 :data:`LATTICE_GROUP_SAMPLES`, that share one batched Nuttall-Strand
 lattice, which frees its buffers once it reaches the deepest order the
-fits read, and factor their Welch estimates as one Wilson stack (see
-:func:`_group_fields`); the measurements behind the rule are at
-``estimators._nuttall_strand``.  Each realization's results are
+fits read, make their VMA and VARMA fits together, with one Wilson stack
+for the minimum-phase swaps of each, and factor their Welch estimates as
+one Wilson stack (see :func:`_group_fields`); the measurements behind the
+rule are at ``estimators._nuttall_strand``.  Each realization's results are
 bit-identical to fitting it alone, and a group is one task of the
 process pool.  A data panel is analyzed as a group of one.
 
@@ -65,6 +66,7 @@ from .estimators import (
     DEFAULT_LONG_AR_ORDER,
     DEFAULT_VAR_P_MAX,
     _join_lattice,
+    _join_two_step,
     fit_var,
     fit_vma,
     fit_varma,
@@ -240,6 +242,16 @@ def _lattice_depth(methods) -> int:
     )
 
 
+def _two_step_fits(methods, vma_q, varma_pq) -> list:
+    """The two-step fits ``(p, q, long_ar_order)`` that :func:`_fit_method` makes for ``methods``."""
+    fits = []
+    if "vma" in methods:
+        fits.append((0, vma_q, DEFAULT_LONG_AR_ORDER))
+    if "varma" in methods:
+        fits.append((*varma_pq, DEFAULT_LONG_AR_ORDER))
+    return fits
+
+
 def _wn_factors(panels, segment_len: int) -> list:
     """Each panel's Welch + Wilson factor, or the error its own fit raises; one Wilson stack for all."""
     spectra = []
@@ -279,13 +291,15 @@ def _group_fields(panels, spec: ExperimentSpec, methods, vma_q, varma_pq, dtf_fi
     """Fit every method to each of ``panels`` as one group; one ``(tPDC, tDTF, orders)`` triple each.
 
     The panels share one Nuttall-Strand lattice, which frees its buffers at
-    the deepest order their fits read, and their Welch spectra are factored
-    as one Wilson stack.  Each panel's fields are bit-identical to those it
-    gets alone, and the first error raised is the one a panel-by-panel,
-    method-by-method run would raise first.  Only the first panel gets
+    the deepest order their fits read, and one two-step group, which makes
+    each VMA or VARMA fit for all of them on the first panel's fit; their
+    Welch spectra are factored as one Wilson stack.  Each panel's fields
+    are bit-identical to those it gets alone, and the first error raised is
+    the one a panel-by-panel, method-by-method run would raise first.  Only the first panel gets
     tDTF fields, and only if ``dtf_first``.
     """
     _join_lattice(panels, _lattice_depth(methods))
+    _join_two_step(panels, _two_step_fits(methods, vma_q, varma_pq))
     wn = _wn_factors(panels, spec.segment_len) if "wn" in methods else [None] * len(panels)
     return [
         _panel_fields(panel, methods, vma_q, varma_pq, dtf_first and i == 0, factor)

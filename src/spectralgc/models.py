@@ -77,7 +77,7 @@ class FrequencyGrid:
 
 
 def _stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for stacks of small complex matrices, as one real product per matrix.
+    """``a @ b`` for stacks of small matrices, as real products; the result is complex.
 
     numpy's complex ``@`` makes one ``zgemm`` call per matrix of a stack,
     and at N = 2-7 that call's overhead outweighs its arithmetic; the real
@@ -85,9 +85,25 @@ def _stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     interleaved ``(re, im)`` float view and every entry ``x + iy`` of ``b``
     becomes the real block ``[[x, y], [-y, x]]``, whose two rows are the
     float views of ``x + iy`` and ``i (x + iy)``: the real product of these
-    is ``a @ b`` again in interleaved form.  Any leading axes of ``a`` and
-    ``b`` are stack axes.
+    is ``a @ b`` again in interleaved form.  A real ``a`` needs no blocks:
+    it multiplies the float view of ``b`` as it is, and a real ``a``
+    without stack axes (one ``sigma`` for every frequency) multiplies the
+    whole stack of ``b``, laid side by side, in one product.  A real ``b``
+    is the transposed product ``(bᵀ aᵀ)ᵀ``, returned as that transposed
+    view.  Any leading axes of ``a`` and ``b`` are stack axes, broadcast
+    as ``@`` broadcasts them.
     """
+    if not np.iscomplexobj(b):
+        a_t = np.swapaxes(a, -1, -2).astype(complex, copy=False)  # two real operands recurse once
+        return _stacked_matmul(np.swapaxes(b, -1, -2), a_t).swapaxes(-1, -2)
+    if not np.iscomplexobj(a):
+        a = np.asarray(a, dtype=float)
+        if a.ndim > 2:
+            return (a @ np.ascontiguousarray(b, dtype=complex).view(float)).view(complex)
+        # the rows of every matrix of b side by side: (k, stack..., m) in one product
+        b_side = np.ascontiguousarray(np.moveaxis(b, -2, 0), dtype=complex)
+        out = (a @ b_side.view(float).reshape(b_side.shape[0], -1)).view(complex)
+        return np.moveaxis(out.reshape((a.shape[0],) + b_side.shape[1:]), 0, -2)
     *stack, k, m = b.shape
     rows = np.empty((*stack, k, 2, m), dtype=complex)
     rows[..., 0, :] = b
@@ -191,7 +207,8 @@ class SpectralFactor:
 
     def spectrum(self) -> SpectralMatrix:
         """Reassemble ``S = H sigma H^H`` on the factor's grid."""
-        S = self.values @ self.sigma @ self.values.conj().transpose(0, 2, 1)
+        H = self.values
+        S = _stacked_matmul(_stacked_matmul(H, self.sigma), H.conj().transpose(0, 2, 1))
         return SpectralMatrix(self.grid, S)
 
 
@@ -304,11 +321,14 @@ class VarmaModel:
 
 
 def _lag_polynomial(blocks: np.ndarray, nu) -> np.ndarray:
-    """``sum_s blocks[s] exp(-i 2 pi nu s)`` for scalar or 1-d ``nu``."""
+    """``sum_s blocks[s] exp(-i 2 pi nu s)`` for scalar or 1-d ``nu``.
+
+    One product of the ``(F, s)`` phase matrix with the stacked blocks.
+    """
     nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-    out = np.zeros((nu_arr.size,) + blocks.shape[1:], dtype=complex)
-    for s, block in enumerate(blocks):
-        out += np.exp(-2j * np.pi * nu_arr * s)[:, None, None] * block
+    n_lags = blocks.shape[0]
+    phase = np.exp((-2j * np.pi * nu_arr)[:, None] * np.arange(n_lags))
+    out = _stacked_matmul(phase, blocks.reshape(n_lags, -1)).reshape((nu_arr.size,) + blocks.shape[1:])
     return out[0] if np.ndim(nu) == 0 else out
 
 
@@ -328,6 +348,12 @@ def eval_ma_polynomial(model: VarmaModel, nu) -> np.ndarray:
 def transfer_function(model: VarmaModel, grid: FrequencyGrid) -> SpectralFactor:
     """Transfer function ``H(nu_k) = A(nu_k)^{-1} B(nu_k)`` on the one-sided grid.
 
+    ``A`` is inverted once, as one batched inverse: the inverse gives the
+    1-norm condition number that the ``COND_LIMIT`` check reads (as
+    ``numpy.linalg.cond(A, 1)`` computes it) and ``H = A^{-1} B``.  A pure
+    VAR (``B = I``) returns that inverse, bit-identical to ``solve(A, I)``,
+    and a pure VMA returns ``B``.
+
     Raises
     ------
     SingularFrequencyError
@@ -338,14 +364,19 @@ def transfer_function(model: VarmaModel, grid: FrequencyGrid) -> SpectralFactor:
     if model.ar_order == 0:
         H = B
     else:
-        conds = np.linalg.cond(A, 1)  # one batched inverse, no SVD; inf where singular
+        try:
+            A_inv = np.linalg.inv(A)
+            conds = np.linalg.norm(A, 1, axis=(1, 2)) * np.linalg.norm(A_inv, 1, axis=(1, 2))
+        except np.linalg.LinAlgError:
+            conds = np.linalg.cond(A, 1)  # inf where singular
         if np.any(conds > COND_LIMIT):
             k = int(np.argmax(conds))
             raise SingularFrequencyError(
                 f"AR polynomial nearly singular at nu={grid.values[k]:.6f} "
                 f"(cond={conds[k]:.2e})"
             )
-        H = np.linalg.solve(A, B)
+        pure_var = model.ma_order == 0 and np.array_equal(model.ma_blocks[0], np.eye(model.n_channels))
+        H = A_inv if pure_var else _stacked_matmul(A_inv, B)
     return SpectralFactor(grid, H, model.innovations_cov)
 
 

@@ -76,7 +76,8 @@ def welch_cross_spectrum(panel: TimeSeriesPanel, segment_len: int = 256) -> Spec
         else:
             S += products
     S /= n_seg * u * L
-    # frequency-major view of the (N, N, L/2 + 1) sum: Wilson's rounding
-    # depends on this layout, which a one-shot sum over all segments also has
+    # frequency-fastest view of the (N, N, L/2 + 1) sum, the layout Wilson
+    # takes its grid mean in (so it copies nothing), as a one-shot sum over
+    # all segments also has
     return SpectralMatrix(FrequencyGrid(L), S.transpose(2, 0, 1))
 

@@ -35,10 +35,24 @@ The iteration body runs on a stack of equal-shaped spectra
 estimates with one numpy call per step for all its members; each member
 leaves the stack when it converges, and its factor is bit-identical to
 the one it gets alone.  :func:`wilson_factorize` is the stack of one.
-On 32 example-1 Welch estimates at n_s = 1024 (129 points, 11-15
-iterations each, 1 BLAS thread) the factorizations took 121 ms one by
-one and 48-50 ms in stacks of 4, 8 or 32: the batched inverse, one
-LAPACK call per matrix, is then about 60% of an iteration.
+The minimum-phase guard of the two-step fits passes the swaps of a
+lattice group through one stack as well.  A member's entry and exit
+are stacked too: the PSD check is one batched Cholesky (the eigenvalues
+are computed only when it fails, for the message), and the
+normalization ``psi psi_0^{-1}`` and the diagnostic residual's
+``H sigma H^H`` are ``_stacked_matmul`` products.  The batched inverse
+is left as one LAPACK call per matrix, about half of an iteration on
+the guard's 513 points.
+
+Measured on 32 example-1 Welch estimates at n_s = 1024 (129 points,
+11-15 iterations each, 1 BLAS thread, best of 7): the factorizations
+took 61 ms one by one and 40 ms in stacks of eight (64 and 43 ms before
+the entry and exit were stacked), and a member's check and start took
+65 µs and its normalization and residual 88 µs (129 and 150 µs before).
+The guard's 12 swaps of 32 example-1 VMA(1) fits (513 points, 10-20
+iterations each) took 61 ms one by one (72 ms before); in stacks of
+eight they take about as long, because the per-matrix inverse, not the
+per-call overhead that a stack saves, dominates at 513 points.
 """
 
 from __future__ import annotations
@@ -66,6 +80,16 @@ def _grid_mean(x: np.ndarray, F: int) -> np.ndarray:
     return (x[0] + x[-1] + 2.0 * x[1:-1].sum(axis=0)).real / F
 
 
+def _canonical_grid_mean(S: np.ndarray, F: int) -> np.ndarray:
+    """:func:`_grid_mean` of an ``(F/2 + 1, N, N)`` spectrum, summed in one memory layout.
+
+    The sum is taken over a frequency-fastest copy (Welch's own layout,
+    which needs no copy), so a spectrum's mean, and its factor, do not
+    depend on how its values are laid out in memory.
+    """
+    return _grid_mean(np.ascontiguousarray(S.transpose(1, 2, 0)).transpose(2, 0, 1), F)
+
+
 def _check_real_endpoints(S: np.ndarray) -> None:
     imaginary = np.max(np.abs(S[[0, -1]].imag))
     scale = np.max(np.abs(S))
@@ -77,9 +101,19 @@ def _check_real_endpoints(S: np.ndarray) -> None:
 
 
 def _check_psd(S: np.ndarray) -> None:
+    """Raise ``NonPositiveSpectrumError`` if a point's least eigenvalue is below ``-1e-6 * scale``.
+
+    One batched Cholesky of ``S + 1e-6 scale I`` passes every point whose
+    Hermitian part has no eigenvalue at or below ``-1e-6 scale``; the
+    eigenvalues are computed only when it fails, for the message.
+    """
     hermitian = 0.5 * (S + S.conj().transpose(0, 2, 1))
-    min_eig = np.min(np.linalg.eigvalsh(hermitian))
     scale = np.max(np.abs(S))
+    try:
+        np.linalg.cholesky(hermitian + 1e-6 * scale * np.eye(S.shape[1]))
+        return
+    except np.linalg.LinAlgError:
+        min_eig = np.min(np.linalg.eigvalsh(hermitian))
     if min_eig < -1e-6 * scale:
         raise NonPositiveSpectrumError(
             f"input spectrum has eigenvalue {min_eig:.3e} below -1e-6 * scale ({scale:.3e})"
@@ -90,7 +124,7 @@ def _start(S: np.ndarray, F: int) -> np.ndarray:
     """Check one spectrum; its constant-in-frequency start, the lower Cholesky factor of its grid mean."""
     _check_real_endpoints(S)
     _check_psd(S)
-    S_mean = _grid_mean(S, F)  # summed in the input's own memory order
+    S_mean = _canonical_grid_mean(S, F)
     S_mean = 0.5 * (S_mean + S_mean.T)
     return np.broadcast_to(np.linalg.cholesky(S_mean + 1e-14 * np.eye(S.shape[1])), S.shape)
 
@@ -98,7 +132,7 @@ def _start(S: np.ndarray, F: int) -> np.ndarray:
 def _finish(spectrum: SpectralMatrix, psi: np.ndarray, iteration: int, delta) -> SpectralFactor:
     """Normalize one converged ``psi`` to ``H`` with a lag-0 identity and ``sigma``."""
     psi0 = _grid_mean(psi, spectrum.grid.n_points)  # zero-lag coefficient of the psi expansion
-    factor = SpectralFactor(spectrum.grid, psi @ np.linalg.inv(psi0)[None], psi0 @ psi0.T)
+    factor = SpectralFactor(spectrum.grid, _stacked_matmul(psi, np.linalg.inv(psi0)), psi0 @ psi0.T)
     S = spectrum.values
     residual = float(np.max(np.abs(factor.spectrum().values - S)) / np.max(np.abs(S)))
     factor.diagnostics = {"iterations": iteration, "final_delta": float(delta), "residual": residual}
@@ -119,9 +153,9 @@ def _factorize_stack(spectra, tol: float = 1e-6, max_iter: int = 500) -> list:
     out of the batched inverse for the whole stack, as it does alone.)
     numpy hands LAPACK, BLAS and the FFT one matrix or one line at a time,
     so a member's factor is bit-identical to a lone call's.  The one
-    order-dependent sum, the grid mean of the input, is taken member by
-    member in the input's own layout (a copy in another memory order sums
-    in another order, and the factor moves in its last bits).
+    order-dependent sum, the grid mean of the input, is taken in one
+    memory layout (:func:`_canonical_grid_mean`), so a factor depends on
+    its spectrum's values and not on their layout.
     """
     out = [None] * len(spectra)
     live, starts = [], []
@@ -135,7 +169,7 @@ def _factorize_stack(spectra, tol: float = 1e-6, max_iter: int = 500) -> list:
         return out
     F = spectra[live[0]].grid.n_points
     eye = np.eye(starts[0].shape[-1])
-    S = np.stack([spectra[k].values for k in live])  # keeps each member's memory layout
+    S = np.stack([spectra[k].values for k in live])
     psi = np.stack(starts).astype(complex, order="C")
     delta = np.full(len(live), np.inf)
     for iteration in range(1, max_iter + 1):

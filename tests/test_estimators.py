@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -13,6 +14,7 @@ from spectralgc import (
     DegeneratePanelError,
     ExperimentSpec,
     FrequencyGrid,
+    NonConvergenceError,
     NumericalError,
     TimeSeriesPanel,
     VarmaModel,
@@ -26,7 +28,7 @@ from spectralgc import (
     simulate,
     theoretical_spectrum,
 )
-from spectralgc import estimators, experiments
+from spectralgc import estimators, experiments, wilson
 from spectralgc.models import BLOCK_BYTES
 
 import reference_impl as ref
@@ -769,3 +771,142 @@ def test_fitted_ma_is_minimum_phase_near_the_unit_circle(seed):
     # the two-step fit lands at 1.000138 and 1.000091; the swap moves them to 1.003363 and 1.004099
     report = fit_vma(simulate(example_model(1), 1024, seed=seed), 1)
     assert np.max(ma_root_report(report.model).magnitudes) <= 1.0 + 1e-6
+
+
+# ------------------------------------------------------- two-step groups and the guard
+
+#: example-1 seeds whose VMA(1) fit the guard swaps (56003 and 56015 land next to the unit circle)
+SWAPPED_SEEDS = (56001, 56003, 56004, 56006, 56007, 56012, 56013, 56014, 56015)
+
+
+def _two_step_groups(panels, size, fits):
+    """Join ``panels`` in groups of ``size``, lattice and two-step fits, as the Monte Carlo driver does."""
+    for k in range(0, len(panels), size):
+        estimators._join_lattice(panels[k : k + size], estimators.DEFAULT_LONG_AR_ORDER)
+        estimators._join_two_step(panels[k : k + size], fits)
+
+
+def _record_stacks(monkeypatch, budget=None):
+    """Record the size of every Wilson stack the guard runs; optionally force its iteration budget."""
+    real, sizes = wilson._factorize_stack, []
+
+    def recording(spectra, tol, max_iter):
+        sizes.append(len(spectra))
+        return real(spectra, tol, max_iter if budget is None else budget)
+
+    monkeypatch.setattr(wilson, "_factorize_stack", recording)
+    return sizes
+
+
+def _outcome(fit):
+    try:
+        return fit()
+    except Exception as exc:
+        return exc
+
+
+@pytest.mark.parametrize("size", [1, 4, 8])
+def test_grouped_vma_fits_match_lone_ones(monkeypatch, size):
+    # seeds 56000-56015: a group makes every member's fit on the first member's call and
+    # swaps its members' MA parts in one Wilson stack; each report is the lone fit's
+    panels = [simulate(example_model(1), 1024, seed=s) for s in range(56000, 56016)]
+    _two_step_groups(panels, size, [(0, 1, estimators.DEFAULT_LONG_AR_ORDER)])
+    sizes = _record_stacks(monkeypatch)
+    got = [fit_vma(panel, 1) for panel in panels]
+    swapped = [sum(s in SWAPPED_SEEDS for s in range(56000 + k, 56000 + k + size)) for k in range(0, 16, size)]
+    assert sizes == [n for n in swapped if n]
+    del sizes[:]
+    for panel, report in zip(panels, got):
+        _assert_same_report(report, fit_vma(_fresh(panel), 1))
+    assert sizes == [1] * len(SWAPPED_SEEDS)
+
+
+def test_swap_out_of_iterations_fails_its_own_fit(monkeypatch):
+    # with 15 iterations 56003's swap (19 alone) runs out; 56001, 56004, 56006 and 56007
+    # (11-14) converge in the same stack, and every other member gets its lone report
+    panels = [simulate(example_model(1), 1024, seed=s) for s in range(56000, 56008)]
+    _two_step_groups(panels, 8, [(0, 1, estimators.DEFAULT_LONG_AR_ORDER)])
+    sizes = _record_stacks(monkeypatch, budget=15)
+    got = [_outcome(lambda: fit_vma(panel, 1)) for panel in panels]
+    assert sizes == [5]
+    want = [_outcome(lambda: fit_vma(_fresh(panel), 1)) for panel in panels]
+    for seed, g, w in zip(range(56000, 56008), got, want):
+        if seed == 56003:
+            assert type(g) is type(w) is NonConvergenceError and str(g) == str(w)
+        else:
+            _assert_same_report(g, w)
+
+
+def test_grouped_varma_fits_keep_their_warnings():
+    # example 2 with a third-channel pole at 0.999: the VARMA(2, 2) fits of seeds 14 and 29
+    # are not stable; in groups of five each member warns on its own fit, as it does alone
+    base = example_model(2)
+    ar = base.ar_blocks.copy()
+    ar[0, 2, 2] = 0.999
+    model = VarmaModel(ar, base.ma_blocks, base.innovations_cov)
+    seeds = (12, 13, 14, 15, 16, 27, 28, 29, 30, 31)
+    panels = [simulate(model, 1024, seed=s) for s in seeds]
+
+    def fit_all(panels):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = []
+            for k, panel in enumerate(panels):
+                n = len(caught)
+                reports.append(fit_varma(panel, 2, 2))
+                caught[n:] = [(k, w.category, str(w.message), w.filename) for w in caught[n:]]
+        return reports, caught
+
+    _two_step_groups(panels, 5, [(2, 2, estimators.DEFAULT_LONG_AR_ORDER)])
+    got, got_warnings = fit_all(panels)
+    want, want_warnings = fit_all([_fresh(panel) for panel in panels])
+    assert [k for k, *_ in want_warnings] == [2, 7]
+    assert got_warnings == want_warnings
+    for g, w in zip(got, want):
+        _assert_same_report(g, w)
+
+
+def test_two_step_group_serves_only_its_fits(monkeypatch):
+    # another order is a lone fit; a member's outcome is handed out once, and a second
+    # fit of the same order is a lone fit again; the group lets go of its panels once
+    # every fit it serves is made
+    panels = [simulate(example_model(1), 1024, seed=s) for s in range(56000, 56004)]
+    _two_step_groups(panels, 4, [(0, 1, estimators.DEFAULT_LONG_AR_ORDER)])
+    group = panels[0]._memo["two_step"][0]
+    stacks = []
+    real = estimators._fit_two_step_stack
+    monkeypatch.setattr(estimators, "_fit_two_step_stack", lambda ps, *a: stacks.append(len(ps)) or real(ps, *a))
+    fit_vma(panels[0], 2)
+    first = fit_vma(panels[0], 1)
+    assert stacks == [1, 4] and group._panels is None
+    _assert_same_report(fit_vma(panels[0], 1), first)
+    assert stacks == [1, 4, 1]
+
+
+def test_guard_stack_members_match_lone_guards():
+    # the stack-level guard against its stack of one, on swapped and untouched MA parts
+    parts = []
+    for seed in range(56000, 56008):
+        panel = simulate(example_model(1), 1024, seed=seed)
+        parts.append(estimators._regress_two_step(panel, 0, 1, estimators.DEFAULT_LONG_AR_ORDER)[1:])
+    for (ma, sigma), (got_ma, got_sigma) in zip(parts, estimators._minimum_phase_stack(parts)):
+        want_ma, want_sigma = estimators._ensure_minimum_phase(ma, sigma)
+        assert np.array_equal(got_ma, want_ma) and np.array_equal(got_sigma, want_sigma)
+
+
+def test_concurrent_fits_of_one_two_step_group():
+    # every member fitted from its own thread: one group stack, each member its lone report
+    panels = [simulate(example_model(1), 1024, seed=s) for s in range(56000, 56008)]
+    _two_step_groups(panels, 8, [(0, 1, estimators.DEFAULT_LONG_AR_ORDER)])
+    got = [None] * len(panels)
+
+    def fit(k):
+        got[k] = fit_vma(panels[k], 1)
+
+    threads = [threading.Thread(target=fit, args=(k,)) for k in range(len(panels))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for panel, report in zip(panels, got):
+        _assert_same_report(report, fit_vma(_fresh(panel), 1))

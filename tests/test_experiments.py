@@ -293,21 +293,26 @@ def test_process_pool_is_clamped_to_the_work(tmp_path, monkeypatch):
 
 
 def test_realization_retains_no_panel(monkeypatch):
-    # the panels, and with them their lattice group, die when the realizations return
+    # the panels, and with them their lattice and two-step groups, die when the realizations return
     refs = []
-    real_join = experiments._join_lattice
+    real_join, real_join_two_step = experiments._join_lattice, experiments._join_two_step
 
     def tracking_join(panels, depth):
         real_join(panels, depth)
         refs.extend(weakref.ref(panel) for panel in panels)
         refs.append(weakref.ref(panels[0]._memo["lattice"][0]))
 
+    def tracking_join_two_step(panels, fits):
+        real_join_two_step(panels, fits)
+        refs.append(weakref.ref(panels[0]._memo["two_step"][0]))
+
     monkeypatch.setattr(experiments, "_join_lattice", tracking_join)
+    monkeypatch.setattr(experiments, "_join_two_step", tracking_join_two_step)
     spec = ExperimentSpec(example_id=2, n_samples=1024, n_realizations=2, segment_len=128)
     model = example_model(2)
     methods, vma_q, varma_pq = experiments._resolve_methods_and_orders(spec, model)
     fields, caught = experiments._realization_fields(model, spec, methods, vma_q, varma_pq, [0, 1])
-    assert len(refs) == 3 and all(ref() is None for ref in refs)
+    assert len(refs) == 4 and all(ref() is None for ref in refs)
     assert len(fields) == 2 and all(set(f[0]) == set(methods) for f in fields)
     assert caught == []
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -239,3 +241,67 @@ def test_stacked_matmul_equals_complex_matmul(n, h):
     # a leading stack axis gives each member's product bit for bit
     stacked = models._stacked_matmul(np.stack([a, a_h]), np.stack([b_h, b]))
     assert np.array_equal(stacked, np.stack([models._stacked_matmul(a, b_h), models._stacked_matmul(a_h, b)]))
+
+
+@pytest.mark.parametrize("h", [1, 129, 513])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stacked_matmul_with_a_real_operand(n, h):
+    # sigma, R and psi0^-1 are real: on either side, shared by the stack or
+    # stacked with it, and against a stack with an extra (broadcast) axis; two
+    # real operands give a complex product too
+    rng = np.random.default_rng(100 * n + h)
+    re, im = rng.normal(size=(2, h, n, n))
+    z = re + 1j * im
+    zz = np.stack([z, z.conj().transpose(0, 2, 1)])  # (2, h, n, n), a non-contiguous member
+    shared, stacked = rng.normal(size=(n, n)), rng.normal(size=(h, n, n))
+    cases = [
+        (shared, z), (z, shared), (stacked, z), (z, stacked),
+        (shared, zz), (zz, shared), (stacked, zz), (zz, stacked), (zz, z), (z[None], zz),
+        (stacked, shared),
+    ]
+    for x, y in cases:
+        want = x @ y
+        got = models._stacked_matmul(x, y)
+        assert got.shape == want.shape and got.dtype == complex
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_lag_polynomial_matches_the_sum_over_lags():
+    blocks = _random_model(5, 3, 0).ma_blocks
+    nu = FrequencyGrid(512).values
+    got = models._lag_polynomial(blocks, nu)
+    want = sum(np.exp(-2j * np.pi * nu * s)[:, None, None] * b for s, b in enumerate(blocks))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    scalar = models._lag_polynomial(blocks, nu[128])
+    assert scalar.shape == (5, 5) and np.max(np.abs(scalar - got[128])) <= 1e-14 * np.max(np.abs(want))
+
+
+def _random_model(n, order, seed):
+    rng = np.random.default_rng(seed)
+    ar = rng.normal(scale=0.3 / n, size=(order, n, n))
+    ma = np.concatenate([np.eye(n)[None], rng.normal(scale=0.3, size=(order, n, n))])
+    return VarmaModel(ar, ma, np.eye(n))
+
+
+def test_transfer_function_inverts_a_once():
+    # a pure VAR is solve(A, I) and a pure VMA is B, bit for bit; a VARMA's A^-1 B is
+    # within rounding of solve(A, B)
+    grid = FrequencyGrid(512)
+    varma = _random_model(3, 2, 1)
+    var = VarmaModel(varma.ar_blocks, np.eye(3)[None], varma.innovations_cov)
+    vma = VarmaModel(np.zeros((0, 3, 3)), varma.ma_blocks, varma.innovations_cov)
+    A, B = eval_ar_polynomial(varma, grid.values), eval_ma_polynomial(varma, grid.values)
+    assert np.array_equal(transfer_function(var, grid).values, np.linalg.solve(A, eval_ma_polynomial(var, grid.values)))
+    assert np.array_equal(transfer_function(vma, grid).values, B)
+    H, want = transfer_function(varma, grid).values, np.linalg.solve(A, B)
+    assert np.max(np.abs(H - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_transfer_function_reports_the_condition_number_of_a_near_singular_frequency():
+    # A(0) = diag(1e-13, 0.5) is invertible, with a 1-norm condition number above COND_LIMIT
+    model = VarmaModel(np.array([np.diag([1.0 - 1e-13, 0.5])]), np.eye(2)[None], np.eye(2))
+    grid = FrequencyGrid(16)
+    cond = np.linalg.cond(eval_ar_polynomial(model, grid.values), 1)[0]
+    assert cond > models.COND_LIMIT
+    with pytest.raises(SingularFrequencyError, match=re.escape(f"nu=0.000000 (cond={cond:.2e})")):
+        transfer_function(model, grid)

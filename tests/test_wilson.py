@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -191,12 +193,32 @@ def test_stacked_members_match_lone_calls(max_iter):
 
 
 def test_stack_of_one_in_c_order():
-    # the guard's case: a spectrum evaluated on a grid, in C order, not Welch's layout
-    S = theoretical_spectrum(example_model(1), FrequencyGrid(1024))
+    # a factor depends on its spectrum's values, not on their memory layout: a C-ordered
+    # copy of a Welch estimate (frequency-fastest) factors bit for bit as the estimate does,
+    # alone and in a stack, and the estimate keeps the summation order of its own layout
+    S = welch_cross_spectrum(simulate(example_model(1), 1024, seed=3))
     c_order = SpectralMatrix(S.grid, np.ascontiguousarray(S.values))
-    assert c_order.values.flags.c_contiguous
-    (got,) = wilson._factorize_stack([c_order], tol=1e-8, max_iter=5000)
-    _assert_same_outcome(got, _lone(c_order, tol=1e-8, max_iter=5000))
+    assert c_order.values.flags.c_contiguous and not S.values.flags.c_contiguous
+    F = S.grid.n_points
+    assert np.array_equal(wilson._canonical_grid_mean(S.values, F), wilson._grid_mean(S.values, F))
+    want = _lone(S)
+    _assert_same_outcome(_lone(c_order), want)
+    for got in wilson._factorize_stack([c_order, S]):
+        _assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("min_eig, rejected", [(-0.5e-6, False), (-2e-6, True)])
+def test_psd_check_threshold(min_eig, rejected):
+    # scale 1 (the largest entry); one point is a rotation of diag(1, min_eig)
+    values = np.tile(np.diag([1.0, 0.5]).astype(complex), (9, 1, 1))
+    u = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
+    values[3] = u @ np.diag([1.0, min_eig]) @ u.conj().T
+    if not rejected:
+        wilson._check_psd(values)
+        return
+    message = f"input spectrum has eigenvalue {min_eig:.3e} below -1e-6 * scale ({1.0:.3e})"
+    with pytest.raises(NonPositiveSpectrumError, match=re.escape(message)):
+        wilson._check_psd(values)
 
 
 def test_failing_members_leave_the_others_unchanged():

@@ -392,7 +392,8 @@ def _minimum_phase_stack(parts) -> list:
 
     Returns one entry per part, in order: the part itself if its MA roots
     lie within ``1 + 1e-6``; otherwise the minimum-phase spectral
-    equivalent, or the error the swap raised.  A swap refactorizes the
+    equivalent; or the error that part's root check or swap raised, which
+    leaves the other parts as they are.  A swap refactorizes the
     MA-part spectrum ``B sigma B^H`` on a fine grid and reads back the lag
     coefficients of its minimum-phase factor (exactly q of them, up to grid
     truncation).  Every swapped part of the stack runs in one Wilson stack
@@ -408,13 +409,17 @@ def _minimum_phase_stack(parts) -> list:
     out = list(parts)
     swapped, spectra = [], []
     for k, (ma_blocks, sigma) in enumerate(parts):
-        probe = VarmaModel(np.zeros((0,) + sigma.shape), ma_blocks, sigma)
-        report = ma_root_report(probe)
-        if report.roots.size == 0 or np.max(report.magnitudes) <= 1.0 + 1e-6:
+        try:
+            probe = VarmaModel(np.zeros((0,) + sigma.shape), ma_blocks, sigma)
+            report = ma_root_report(probe)
+            if report.roots.size == 0 or np.max(report.magnitudes) <= 1.0 + 1e-6:
+                continue
+            grid = FrequencyGrid(max(1024, 8 * ma_blocks.shape[0]))
+            B = eval_ma_polynomial(probe, grid.values)
+            S = _stacked_matmul(_stacked_matmul(B, sigma), B.conj().transpose(0, 2, 1))
+        except Exception as exc:  # this part's own error, not the stack's
+            out[k] = exc
             continue
-        grid = FrequencyGrid(max(1024, 8 * ma_blocks.shape[0]))
-        B = eval_ma_polynomial(probe, grid.values)
-        S = _stacked_matmul(_stacked_matmul(B, sigma), B.conj().transpose(0, 2, 1))
         spectra.append(SpectralMatrix(grid, S))
         swapped.append(k)
     if not swapped:

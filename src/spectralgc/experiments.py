@@ -295,8 +295,8 @@ def _group_fields(panels, spec: ExperimentSpec, methods, vma_q, varma_pq, dtf_fi
     each VMA or VARMA fit for all of them on the first panel's fit; their
     Welch spectra are factored as one Wilson stack.  Each panel's fields
     are bit-identical to those it gets alone, and the first error raised is
-    the one a panel-by-panel, method-by-method run would raise first.  Only the first panel gets
-    tDTF fields, and only if ``dtf_first``.
+    the one a panel-by-panel, method-by-method run would raise first.
+    Only the first panel gets tDTF fields, and only if ``dtf_first``.
     """
     _join_lattice(panels, _lattice_depth(methods))
     _join_two_step(panels, _two_step_fits(methods, vma_q, varma_pq))

@@ -837,6 +837,31 @@ def test_swap_out_of_iterations_fails_its_own_fit(monkeypatch):
             _assert_same_report(g, w)
 
 
+def test_failed_root_check_fails_only_its_own_fit(monkeypatch):
+    # 56002's MA root check raising (forced) fails its fit alone; in the same guard stack
+    # 56001 and 56003 are swapped and 56000 is kept, each with its lone report
+    panels = [simulate(example_model(1), 1024, seed=s) for s in range(56000, 56004)]
+    bad_ma = estimators._regress_two_step(_fresh(panels[2]), 0, 1, estimators.DEFAULT_LONG_AR_ORDER)[1]
+    real = estimators.ma_root_report
+
+    def failing(model):
+        if np.array_equal(model.ma_blocks, bad_ma):
+            raise NumericalError("forced root-check failure")
+        return real(model)
+
+    monkeypatch.setattr(estimators, "ma_root_report", failing)
+    _two_step_groups(panels, 4, [(0, 1, estimators.DEFAULT_LONG_AR_ORDER)])
+    sizes = _record_stacks(monkeypatch)
+    got = [_outcome(lambda: fit_vma(panel, 1)) for panel in panels]
+    assert sizes == [2]
+    want = [_outcome(lambda: fit_vma(_fresh(panel), 1)) for panel in panels]
+    for k, (g, w) in enumerate(zip(got, want)):
+        if k == 2:
+            assert type(g) is type(w) is NumericalError and str(g) == str(w) == "forced root-check failure"
+        else:
+            _assert_same_report(g, w)
+
+
 def test_grouped_varma_fits_keep_their_warnings():
     # example 2 with a third-channel pole at 0.999: the VARMA(2, 2) fits of seeds 14 and 29
     # are not stable; in groups of five each member warns on its own fit, as it does alone

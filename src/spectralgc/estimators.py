@@ -15,24 +15,23 @@ that any second-order method can identify anyway.  That swap is inexact
 next to the unit circle and can leave a zero outside it (see
 :func:`_minimum_phase_stack`).
 
-Panels of a Monte Carlo group share one Nuttall-Strand lattice
-(:func:`_join_lattice`) and make their two-step fits together
-(:func:`_join_two_step`): the first member's VMA or VARMA fit regresses
-every member and swaps all their MA parts that need it in one Wilson
-stack, and each member's report, or error, is handed out on its own fit.
-Every fit is bit-identical to the one its panel gets alone.
+Every fit is made by :func:`_fit_group`, one direct call for a group of
+equal-shaped panels and a list of fits: one batched Nuttall-Strand
+lattice, each panel's long-VAR residuals once, and one minimum-phase
+stack per two-step fit.  It returns each panel's report or error per
+fit, bit-identical to what that panel gets alone.  The public fits are
+groups of one; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import wilson
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DegeneratePanelError, NumericalError
 from .models import (
     BLOCK_BYTES,
     COND_LIMIT,
@@ -205,122 +204,35 @@ def _lattice_stages(x: np.ndarray, cap: int):
         yield -filters[m % 2, :, 0, :n, n:width].reshape(r, n, m, n).swapaxes(1, 2), P[:, 0]
 
 
-class _LatticeGroup:
-    """One Nuttall-Strand lattice over a stack of equal-shaped panels' data, extended on demand.
+def _lattice_run(data, depth: int) -> list:
+    """Each panel's stages ``[(ar_blocks, residual_cov)]`` for p = 0..depth, and its error or None.
 
-    The group holds the data, never a panel: each member panel holds
-    ``(group, index)`` in its memo, so the group lives as long as the last
-    memo that holds it.  A failed stage spends the group, and only
-    :func:`_nuttall_strand` takes it out of a member's memo, on that
-    member's next fit.
-
-    A group serves orders up to its ``depth``, and its operators start
-    sized for it, up to the default capacity of 64.  Once its stages reach
-    a finite depth, the group closes its generator, which frees the stacked
-    data, the edge windows ``E``, the filter pair and the lag products, and
-    serves the stages it holds.
+    ``data`` lists equal-shaped ``(N, n_s)`` sample arrays, which run as
+    one batched lattice (:func:`_lattice_stages`) with operators sized for
+    ``depth``, up to a capacity of 64.  The lattice is closed once it gets
+    there, which frees the stacked data, the edge windows ``E``, the filter
+    pair and the lag products (about ``520 N² + 5100 N`` doubles a panel at
+    depth 50, 98 KB at N = 2); only the stages stay.  A panel's stages are
+    bit-identical in any group.  If a stacked stage raises
+    ``NumericalError``, each panel reruns on a lattice of its own, and a
+    panel whose own stage fails keeps the stages it reached, with that
+    error.  Any other exception propagates.
     """
-
-    def __init__(self, data: np.ndarray, depth: float = np.inf):
-        self._lock = threading.Lock()
-        self._depth = depth
-        self._gen = _lattice_stages(data, min(depth, 64))
-        self._stages = [[] for _ in data]  # per member, [(ar_blocks, residual_cov)]
-
-    def __len__(self) -> int:
-        return len(self._stages)
-
-    def stages(self, index: int, p_max: int) -> list | None:
-        """Member ``index``'s stages for p = 0..p_max, extending the lattice as needed.
-
-        None if ``p_max`` is past the group's depth.
-        """
-        with self._lock:
-            if self._gen is None:
-                raise NumericalError("a stage failed in another panel of this lattice group")
-            if p_max > self._depth:
-                return None
-            own = self._stages[index]
-            try:
-                while len(own) <= p_max:
-                    ar, cov = next(self._gen)
-                    for member, ar_i, cov_i in zip(self._stages, ar, cov):
-                        member.append((ar_i, cov_i))
-            except BaseException:
-                self._gen = None  # the generator is spent
-                raise
-            if len(own) > self._depth:
-                self._gen.close()  # no later stage is served: its buffers go
-            return own[: p_max + 1]
-
-
-def _join_lattice(panels, depth: float = np.inf) -> None:
-    """Let equal-shaped ``panels`` share one Nuttall-Strand lattice (see :func:`_nuttall_strand`).
-
-    ``depth`` is the deepest order the group serves; a fit that reads past
-    it continues on a lone lattice.
-    """
-    data = [panel.data for panel in panels]
+    stages = [[] for _ in data]
     # a lone panel is viewed, not copied; Monte Carlo runs group only short panels
-    group = _LatticeGroup(np.stack(data) if len(data) > 1 else data[0][None], depth)
-    for index, panel in enumerate(panels):
-        with panel._lock:
-            panel._memo["lattice"] = (group, index)
-
-
-def _nuttall_strand(panel: TimeSeriesPanel, p_max: int) -> list:
-    """Stages ``[(ar_blocks, residual_cov)]`` for p = 0..p_max (see :func:`_lattice_stages`).
-
-    The lattice and its stages are memoised on the panel, so every fit
-    of one panel (VAR order sweep and long-VAR prewhitening alike)
-    continues one lattice instead of restarting it; stages are identical
-    either way.  Panels joined by :func:`_join_lattice` share one lattice
-    group and extend it together, one batched stage for all of them; a
-    panel fitted alone is a group of one.  A stage reads the samples only
-    through one lag product per member; what a member keeps between stages
-    is its filters, the lag products and the edge windows ``E``, about
-    ``660 N² + 8320 N`` doubles for any p up to 64 and any n_s (154 KB at
-    N = 2, 133 KB of it ``E``), or ``520 N² + 5100 N`` (98 KB at N = 2) in
-    a group sized for order 50.  A Monte Carlo group is joined with the
-    deepest order its fits read (fit_var's ``p_max`` of 30, or the long AR
-    order 50 of the VMA and VARMA fits), and it frees those buffers when
-    it gets there, long before the group's other work is done.  A run
-    groups ``max(1, 16384 // (N n_s))`` realizations, eight on example 1
-    and five on example 2 at n_s = 1024.  Before the buffers were freed, in
-    five rounds of the benchmark's mc-ex1-short workload (32 realizations a
-    call, 1 BLAS thread), groups of 4, 16 and 32 took a median 0.270, 0.244
-    and 0.224 s a call, gaps smaller than the quartile spread of groups of
-    four (0.259-0.345 s), while peak RSS rose from 44.5 to 46.2 and
-    48.8 MB.  With the buffers freed, groups of eight, together with the
-    Welch estimates of a group factored as one Wilson stack, took it from
-    0.273 to 0.230 s a call (medians of 10 alternating pairs against
-    groups of four), at a peak RSS of 44.18 MB against 44.13.
-
-    A stage that fails spends its group for every member.  Each member's
-    own next fit, under its own lock, drops the spent group from its memo
-    and continues on a lattice of its own, through the same code with
-    R = 1, so only the panel whose stage fails raises.  A group of one
-    re-raises; its lattice has left the memo, so a retry fails the same
-    way.  Any other exception drops the group the same way and
-    propagates, from a group of any size.  A request past the group's
-    depth also drops it from that member's memo, without an error, and
-    continues on a lone lattice that has no depth.
-    """
-    with panel._lock:
-        while True:
-            if "lattice" not in panel._memo:
-                _join_lattice([panel])
-            group, index = panel._memo["lattice"]
-            try:
-                stages = group.stages(index, p_max)
-            except BaseException as exc:
-                del panel._memo["lattice"]  # any failure spends the group
-                if len(group) == 1 or not isinstance(exc, NumericalError):
-                    raise
-                continue
-            if stages is not None:
-                return stages
-            del panel._memo["lattice"]  # past the group's depth
+    lattice = _lattice_stages(np.stack(data) if len(data) > 1 else data[0][None], min(depth, 64))
+    try:
+        for _ in range(depth + 1):
+            ar, cov = next(lattice)
+            for own, ar_i, cov_i in zip(stages, ar, cov):
+                own.append((ar_i, cov_i))
+    except NumericalError as exc:
+        if len(data) == 1:
+            return [(stages[0], exc)]
+        return [_lattice_run([x], depth)[0] for x in data]
+    finally:
+        lattice.close()
+    return [(own, None) for own in stages]
 
 
 def _hq_values(residual_covs, n_samples: int, n_channels: int) -> list:
@@ -349,42 +261,22 @@ def _hq_argmin(values) -> int:
     return best_order
 
 
-def fit_var(panel: TimeSeriesPanel, p_max: int = DEFAULT_VAR_P_MAX) -> FitReport:
-    """Nuttall-Strand VAR fit with Hannan-Quinn selection over p = 1..p_max."""
-    if p_max < 1:
-        raise ConfigError(f"p_max must be a positive integer, got {p_max}")
-    _check_panel(panel)
-    n = panel.n_channels
-    if panel.n_samples <= n * p_max + 1:
-        raise ConfigError(
-            f"need more than {n * p_max + 1} samples to sweep VAR orders up to {p_max}"
-        )
-    stages = _nuttall_strand(panel, p_max)
-    candidates = [(p, stages[p][1]) for p in range(1, p_max + 1)]
-    values = _hq_values(candidates, panel.n_samples, n)
+def _select_var(stages, n_samples: int) -> FitReport:
+    """The VAR fit of a panel's stages for p = 0..p_max: Hannan-Quinn selection over p = 1..p_max."""
+    n = stages[0][1].shape[0]
+    values = _hq_values([(p, cov) for p, (_, cov) in enumerate(stages) if p], n_samples, n)
     p_hat = _hq_argmin(values)
     ar, sigma = stages[p_hat]
-    model = VarmaModel(np.array(ar), np.eye(n)[None], sigma)
-    return FitReport(model, (p_hat, 0), values)
+    return FitReport(VarmaModel(np.array(ar), np.eye(n)[None], sigma), (p_hat, 0), values)
 
 
-def _long_var_residuals(panel: TimeSeriesPanel, long_ar_order: int) -> np.ndarray:
-    """Prewhitening residuals eps(n) for n >= long_ar_order.
-
-    Memoised on the panel per order and shared by its VMA and VARMA fits,
-    which only read them.
-    """
-    key = ("eps", long_ar_order)
-    with panel._lock:
-        if key not in panel._memo:
-            x = panel.data
-            ar, _ = _nuttall_strand(panel, long_ar_order)[long_ar_order]
-            eps = x[:, long_ar_order:].copy()
-            for r in range(1, long_ar_order + 1):
-                eps -= ar[r - 1] @ x[:, long_ar_order - r : x.shape[1] - r]
-            eps.flags.writeable = False
-            panel._memo[key] = eps
-        return panel._memo[key]
+def _long_var_residuals(x: np.ndarray, ar: np.ndarray) -> np.ndarray:
+    """Prewhitening residuals ``eps(n) = x(n) - Σ_r A_r x(n - r)`` for n >= P, of the VAR(P) ``ar``."""
+    order = ar.shape[0]
+    eps = x[:, order:].copy()
+    for r in range(1, order + 1):
+        eps -= ar[r - 1] @ x[:, order - r : x.shape[1] - r]
+    return eps
 
 
 def _minimum_phase_stack(parts) -> list:
@@ -440,17 +332,6 @@ def _minimum_phase_stack(parts) -> list:
     return out
 
 
-def _ensure_minimum_phase(ma_blocks: np.ndarray, sigma: np.ndarray):
-    """Swap an MA polynomial for its minimum-phase spectral equivalent: the stack of one.
-
-    See :func:`_minimum_phase_stack`; an error of the swap is raised.
-    """
-    (result,) = _minimum_phase_stack([(ma_blocks, sigma)])
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _normal_equations(x: np.ndarray, eps: np.ndarray, p: int, q: int):
     """``(Z Zᵀ, Z Yᵀ)`` of the two-step regression ``Y ~ C Z`` over ``t >= t0``.
 
@@ -485,23 +366,21 @@ def _normal_equations(x: np.ndarray, eps: np.ndarray, p: int, q: int):
     return ZZt, ZYt
 
 
-def _regress_two_step(panel: TimeSeriesPanel, p: int, q: int, long_ar_order: int):
-    """``(ar, ma, sigma)`` of the two-step VARMA(p, q) regression of a checked panel, before the guard.
+def _regress_two_step(x: np.ndarray, eps: np.ndarray, p: int, q: int):
+    """``(ar, ma, sigma)`` of the two-step VARMA(p, q) regression of the samples ``x``, before the guard.
 
     Least squares ``x(n) - eps(n) ~ C z(n)``, with ``z(n)`` the lags
     ``x(n - 1..p)`` and ``eps(n - 1..q)`` (AR blocks first in ``C``), over
-    the samples where every lag exists; ``eps`` starts at ``long_ar_order``.
-    The normal equations come from :func:`_normal_equations`, in blocks
-    of ``BLOCK_BYTES`` (256 KiB) of regressors.  A window that fits in one
-    block gives a fit bit-identical to one product over the whole window.
-    On example 2 at n_s = 16384, where the fits take several blocks, the
-    mean tPDC MSEs of 8 runs of 4 realizations moved from those of a
-    one-product fit by at most 1.1e-13 relative for VARMA(2, 2) and 4.1e-15
-    for VMA(20).
+    the samples where every lag exists; ``eps`` are the long-VAR
+    residuals (:func:`_long_var_residuals`).  The normal equations come
+    from :func:`_normal_equations`, in blocks of ``BLOCK_BYTES`` (256 KiB)
+    of regressors.  A window that fits in one block gives a fit
+    bit-identical to one product over the whole window.  On example 2 at
+    n_s = 16384, where the fits take several blocks, the mean tPDC MSEs of
+    8 runs of 4 realizations moved from those of a one-product fit by at
+    most 1.1e-13 relative for VARMA(2, 2) and 4.1e-15 for VMA(20).
     """
-    x = panel.data
     n = x.shape[0]
-    eps = _long_var_residuals(panel, long_ar_order)
     ZZt, ZYt = _normal_equations(x, eps, p, q)
     if np.linalg.cond(ZZt) > COND_LIMIT:
         raise NumericalError("regressor matrix is numerically rank deficient")
@@ -514,96 +393,113 @@ def _regress_two_step(panel: TimeSeriesPanel, p: int, q: int, long_ar_order: int
     return ar, ma, 0.5 * (sigma + sigma.T)
 
 
-def _fit_two_step_stack(panels, p: int, q: int, long_ar_order: int) -> list:
-    """The two-step VARMA(p, q) fit of each of ``panels``: its ``FitReport``, or the error it raises.
+def _lattice_order(fit, n_channels: int, n_samples: int) -> int:
+    """The deepest lattice order ``fit`` reads; ``ConfigError`` if ``n_samples`` are too few for it."""
+    if fit[0] == "var":
+        p_max = fit[1]
+        if n_samples <= n_channels * p_max + 1:
+            raise ConfigError(
+                f"need more than {n_channels * p_max + 1} samples to sweep VAR orders up to {p_max}"
+            )
+        return p_max
+    _, p, q, long_ar_order = fit
+    if n_samples < 4 * (long_ar_order + max(p, q)):
+        orders = f"q={q}" if p == 0 else f"orders ({p}, {q})"
+        raise ConfigError(f"panel too short for long_ar_order={long_ar_order} and {orders}")
+    return long_ar_order
 
-    Each panel is checked and regressed on its own (see
-    :func:`_regress_two_step`); the MA parts of all that get that far pass
-    the minimum-phase guard as one stack (:func:`_minimum_phase_stack`).
-    Every entry is the one a stack of one gives, bit for bit.  Only an
-    ``Exception`` is handed back; a ``KeyboardInterrupt`` propagates.
+
+def _fit_group(panels, fits) -> list:
+    """Make each of ``fits`` for every one of equal-shaped ``panels``: one ``{fit: outcome}`` dict per panel.
+
+    A fit is ``("var", p_max)``, the fit of :func:`fit_var`, or
+    ``("two_step", p, q, long_ar_order)``, that of :func:`fit_varma`
+    (``p = 0`` is :func:`fit_vma`'s).  An outcome is the fit's ``FitReport``,
+    or the ``Exception`` the panel's lone fit raises; every outcome is the
+    one that panel gets alone, bit for bit.
+
+    1. A panel that fails :func:`_check_panel` takes that error for every
+       fit; a fit that needs more samples than the panels have gives each
+       of them its ``ConfigError``.  Neither runs any further.
+    2. The other panels run one lattice (:func:`_lattice_run`) up to the
+       deepest order their fits read; a stage that fails takes only its
+       own panel's fits past it.
+    3. Each panel's long-VAR residuals are computed once per long AR
+       order and shared by its two-step fits.
+    4. Each two-step fit regresses every panel on its own and swaps the
+       MA parts that need it in one minimum-phase stack
+       (:func:`_minimum_phase_stack`).
+
+    Only an ``Exception`` is kept; a ``KeyboardInterrupt`` propagates.
     """
-    parts = []
-    for panel in panels:
+    outcomes = [{} for _ in panels]
+    valid = []
+    for k, panel in enumerate(panels):
         try:
             _check_panel(panel)
-            parts.append(_regress_two_step(panel, p, q, long_ar_order))
-        except Exception as exc:
-            parts.append(exc)
-    fitted = [k for k, part in enumerate(parts) if not isinstance(part, Exception)]
-    guarded = _minimum_phase_stack([parts[k][1:] for k in fitted])
-    for k, result in zip(fitted, guarded):
+            valid.append(k)
+        except DegeneratePanelError as exc:
+            outcomes[k] = dict.fromkeys(fits, exc)
+    if not valid:
+        return outcomes
+    orders = {}
+    for fit in fits:
         try:
-            parts[k] = result if isinstance(result, Exception) else FitReport(
-                VarmaModel(parts[k][0], *result), (p, q), []
-            )
-        except Exception as exc:  # a VarmaModel that rejects its fitted sigma
-            parts[k] = exc
-    return parts
+            orders[fit] = _lattice_order(fit, *panels[valid[0]].data.shape)
+        except ConfigError as exc:
+            for k in valid:
+                outcomes[k][fit] = exc
+    if not orders:
+        return outcomes
+
+    data = [panels[k].data for k in valid]
+    lattices = _lattice_run(data, max(orders.values()))
+    residuals = {}  # (panel, long AR order) -> eps
+    for fit, order in orders.items():
+        parts = {}  # panel -> (ar, ma, sigma) of a two-step fit, before the guard
+        for k, x, (stages, error) in zip(valid, data, lattices):
+            if len(stages) <= order:
+                outcomes[k][fit] = error
+                continue
+            try:
+                if fit[0] == "var":
+                    outcomes[k][fit] = _select_var(stages[: order + 1], x.shape[1])
+                    continue
+                if (k, order) not in residuals:
+                    residuals[k, order] = _long_var_residuals(x, stages[order][0])
+                parts[k] = _regress_two_step(x, residuals[k, order], *fit[1:3])
+            except Exception as exc:
+                outcomes[k][fit] = exc
+        guarded = _minimum_phase_stack([part[1:] for part in parts.values()])
+        for (k, part), result in zip(parts.items(), guarded):
+            try:
+                outcomes[k][fit] = result if isinstance(result, Exception) else FitReport(
+                    VarmaModel(part[0], *result), fit[1:3], []
+                )
+            except Exception as exc:  # a VarmaModel that rejects its fitted sigma
+                outcomes[k][fit] = exc
+    return outcomes
 
 
-class _TwoStepGroup:
-    """The two-step fits of equal-shaped panels, made for all of them on the first member's fit.
-
-    A group serves the fits ``(p, q, long_ar_order)`` it is joined with.
-    The first member to ask for one makes it for every member as one
-    stack (:func:`_fit_two_step_stack`), under the group's lock, and each
-    member's outcome, report or error, is handed out once, on that
-    member's own fit.  The group holds its panels until it has made every
-    fit it serves; a panel's memo holds the group.
-    """
-
-    def __init__(self, panels, fits):
-        self._lock = threading.Lock()
-        self._panels = list(panels)
-        self._pending = set(fits)
-        self._outcomes = {}  # per fit, one outcome per member; None once handed out
-
-    def outcome(self, index: int, fit: tuple):
-        """Member ``index``'s report or error for ``fit``; None if the group does not serve it (any more)."""
-        with self._lock:
-            if fit in self._pending:
-                self._outcomes[fit] = _fit_two_step_stack(self._panels, *fit)
-                self._pending.remove(fit)
-                if not self._pending:
-                    self._panels = None
-            outcomes = self._outcomes.get(fit)
-            if outcomes is None:
-                return None
-            outcome, outcomes[index] = outcomes[index], None
-            return outcome
+def _fit_one(panel: TimeSeriesPanel, fit) -> FitReport:
+    """``fit`` of ``panel`` alone, a group of one (see :func:`_fit_group`); its error is raised."""
+    (outcomes,) = _fit_group([panel], [fit])
+    if isinstance(outcomes[fit], Exception):
+        raise outcomes[fit]
+    return outcomes[fit]
 
 
-def _join_two_step(panels, fits) -> None:
-    """Let equal-shaped ``panels`` make their two-step ``fits``, ``(p, q, long_ar_order)`` each, together.
-
-    See :func:`_fit_two_step`.  A panel is in one two-step group at a time.
-    """
-    group = _TwoStepGroup(panels, fits)
-    for index, panel in enumerate(panels):
-        with panel._lock:
-            panel._memo["two_step"] = (group, index)
+def _warn_if_unstable(report: FitReport, stacklevel: int) -> None:
+    """Warn if the AR part of a VARMA fit is not stable, attributed ``stacklevel`` frames up from the caller."""
+    if ar_root_report(report.model).classification != "stable":
+        warnings.warn("fitted VARMA autoregressive part is not stable", stacklevel=stacklevel + 1)
 
 
-def _fit_two_step(panel: TimeSeriesPanel, p: int, q: int, long_ar_order: int) -> FitReport:
-    """Two-step VARMA(p, q) fit of a checked panel; ``p = 0`` is the VMA(q) fit.
-
-    A panel joined by :func:`_join_two_step` takes its outcome from its
-    group, where the fits of all members were made together and their
-    minimum-phase swaps ran as one Wilson stack; any other fit is a stack
-    of one.  Either way the report, or the error raised, is bit for bit
-    the one a lone fit gives.  The group's lock is taken without the
-    panel's, so a member's fit never waits on the group while holding a
-    lock that the group's work takes.
-    """
-    with panel._lock:
-        entry = panel._memo.get("two_step")
-    outcome = None if entry is None else entry[0].outcome(entry[1], (p, q, long_ar_order))
-    if outcome is None:
-        (outcome,) = _fit_two_step_stack([panel], p, q, long_ar_order)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def fit_var(panel: TimeSeriesPanel, p_max: int = DEFAULT_VAR_P_MAX) -> FitReport:
+    """Nuttall-Strand VAR fit with Hannan-Quinn selection over p = 1..p_max."""
+    if p_max < 1:
+        raise ConfigError(f"p_max must be a positive integer, got {p_max}")
+    return _fit_one(panel, ("var", p_max))
 
 
 def fit_vma(panel: TimeSeriesPanel, q: int, long_ar_order: int = DEFAULT_LONG_AR_ORDER) -> FitReport:
@@ -616,12 +512,7 @@ def fit_vma(panel: TimeSeriesPanel, q: int, long_ar_order: int = DEFAULT_LONG_AR
     """
     if q < 1:
         raise ConfigError(f"q must be a positive integer, got {q}")
-    _check_panel(panel)
-    if panel.n_samples < 4 * (long_ar_order + q):
-        raise ConfigError(
-            f"panel too short for long_ar_order={long_ar_order} and q={q}"
-        )
-    return _fit_two_step(panel, 0, q, long_ar_order)
+    return _fit_one(panel, ("two_step", 0, q, long_ar_order))
 
 
 def fit_varma(
@@ -636,12 +527,6 @@ def fit_varma(
     """
     if p < 1 or q < 0:
         raise ConfigError(f"orders must satisfy p >= 1 and q >= 0, got ({p}, {q})")
-    _check_panel(panel)
-    if panel.n_samples < 4 * (long_ar_order + max(p, q)):
-        raise ConfigError(
-            f"panel too short for long_ar_order={long_ar_order} and orders ({p}, {q})"
-        )
-    report = _fit_two_step(panel, p, q, long_ar_order)
-    if ar_root_report(report.model).classification != "stable":
-        warnings.warn("fitted VARMA autoregressive part is not stable", stacklevel=2)
+    report = _fit_one(panel, ("two_step", p, q, long_ar_order))
+    _warn_if_unstable(report, 2)
     return report

@@ -17,14 +17,13 @@ method tag ``wn``) estimate lives on its segment-length grid, with the
 reference evaluated there for scoring.  Total DTF is computed only for
 the fields that are written: realization 0 and the analyzed panel.
 Short realizations are simulated and fitted in groups, sized by
-:data:`LATTICE_GROUP_SAMPLES`, that share one batched Nuttall-Strand
-lattice, which frees its buffers once it reaches the deepest order the
-fits read, make their VMA and VARMA fits together, with one Wilson stack
-for the minimum-phase swaps of each, and factor their Welch estimates as
-one Wilson stack (see :func:`_group_fields`); the measurements behind the
-rule are at ``estimators._nuttall_strand``.  Each realization's results are
-bit-identical to fitting it alone, and a group is one task of the
-process pool.  A data panel is analyzed as a group of one.
+:data:`LATTICE_GROUP_SAMPLES`: one call of ``estimators._fit_group``
+makes every parametric fit of a group, with one batched Nuttall-Strand
+lattice and one minimum-phase stack per VMA or VARMA fit, and one Wilson
+stack factors the group's Welch estimates (see :func:`_group_fields`).
+Each realization's results are bit-identical to fitting it alone, and a
+group is one task of the process pool.  A data panel is analyzed as a
+group of one.
 
 A run's serial work overlaps its pool: every group is submitted, then
 the parent computes the reference fields while the workers fit.  The
@@ -62,15 +61,7 @@ from .connectivity import (
     total_pdc,
 )
 from .errors import ConfigError
-from .estimators import (
-    DEFAULT_LONG_AR_ORDER,
-    DEFAULT_VAR_P_MAX,
-    _join_lattice,
-    _join_two_step,
-    fit_var,
-    fit_vma,
-    fit_varma,
-)
+from .estimators import DEFAULT_LONG_AR_ORDER, DEFAULT_VAR_P_MAX, _fit_group, _warn_if_unstable
 from .models import (
     FrequencyGrid,
     VarmaModel,
@@ -78,11 +69,14 @@ from .models import (
     ma_root_report,
     transfer_function,
 )
-from .simulate import TimeSeriesPanel, _check_panel, load_panel_csv, simulate
+from .simulate import _check_panel, load_panel_csv, simulate
 from .welch import _check_segment_len, welch_cross_spectrum
-# wilson_factorize stays bound here: bench/tracing.py wraps this name, though the runs
-# below factor their spectra through the stack
-from .wilson import _factorize_stack, wilson_factorize  # noqa: F401
+from .wilson import _factorize_stack
+
+# bench/tracing.py wraps these names here; the runs below fit and factor
+# through _fit_group and the Wilson stack instead, so they stay bound for it
+from .estimators import fit_var, fit_vma, fit_varma  # noqa: F401
+from .wilson import wilson_factorize  # noqa: F401
 
 __all__ = ["ExperimentSpec", "example_model", "run_example", "run_model", "analyze_panel"]
 
@@ -95,9 +89,16 @@ PARAMETRIC_GRID_POINTS = 512
 #: approximant below the sampling noise at the benchmark sample sizes.
 EXAMPLE_VMA_Q = {2: 20}
 
-#: realizations per lattice group are ``max(1, LATTICE_GROUP_SAMPLES // (N n_s))``:
-#: eight at N = 2 and five at N = 3 for n_s = 1024, one at n_s = 16384 (timings
-#: and memory per group size are at ``estimators._nuttall_strand``)
+#: realizations per group are ``max(1, LATTICE_GROUP_SAMPLES // (N n_s))``: eight
+#: at N = 2 and five at N = 3 for n_s = 1024, one at n_s = 16384.  Measured on the
+#: benchmark's mc-ex1-short workload (32 example-1 realizations at n_s = 1024 a call,
+#: 1 BLAS thread): while a group's lattice kept its buffers to the end, groups of 4,
+#: 16 and 32 took a median 0.270, 0.244 and 0.224 s a call in five rounds, gaps
+#: smaller than the quartile spread of groups of four (0.259-0.345 s), at a peak RSS
+#: of 44.5, 46.2 and 48.8 MB.  With the buffers freed at the deepest order the fits
+#: read, groups of eight, with the group's Welch estimates factored as one Wilson
+#: stack, took it from 0.273 to 0.230 s a call (medians of 10 alternating pairs
+#: against groups of four), at a peak RSS of 44.18 MB against 44.13.
 LATTICE_GROUP_SAMPLES = 16384
 
 #: the spec fields :func:`analyze_panel` reads, the only ones its summary records
@@ -219,36 +220,16 @@ def _resolve_methods_and_orders(spec: ExperimentSpec, model: VarmaModel | None):
     return tuple(methods), vma_q, varma_pq
 
 
-def _fit_method(method: str, panel: TimeSeriesPanel, vma_q, varma_pq):
-    """Run one parametric estimator; returns (factor, (p, q) actually used)."""
-    if method == "var":
-        report = fit_var(panel)
-    elif method == "vma":
-        report = fit_vma(panel, vma_q)
-    elif method == "varma":
-        report = fit_varma(panel, varma_pq[0], varma_pq[1])
-    else:  # pragma: no cover - guarded upstream
-        raise ConfigError(f"unknown method {method!r}")
-    grid = FrequencyGrid(PARAMETRIC_GRID_POINTS)
-    return transfer_function(report.model, grid), report.selected_order
-
-
-def _lattice_depth(methods) -> int:
-    """The deepest lattice order the fits of ``methods`` read: fit_var's p_max, the long AR order."""
-    return max(
-        [DEFAULT_VAR_P_MAX] * ("var" in methods)
-        + [DEFAULT_LONG_AR_ORDER] * bool({"vma", "varma"} & set(methods)),
-        default=0,
-    )
-
-
-def _two_step_fits(methods, vma_q, varma_pq) -> list:
-    """The two-step fits ``(p, q, long_ar_order)`` that :func:`_fit_method` makes for ``methods``."""
-    fits = []
-    if "vma" in methods:
-        fits.append((0, vma_q, DEFAULT_LONG_AR_ORDER))
-    if "varma" in methods:
-        fits.append((*varma_pq, DEFAULT_LONG_AR_ORDER))
+def _method_fits(methods, vma_q, varma_pq) -> dict:
+    """The ``estimators._fit_group`` fit of each parametric method of ``methods``."""
+    fits = {}
+    for method in methods:
+        if method == "var":
+            fits[method] = ("var", DEFAULT_VAR_P_MAX)
+        elif method == "vma":
+            fits[method] = ("two_step", 0, vma_q, DEFAULT_LONG_AR_ORDER)
+        elif method == "varma":
+            fits[method] = ("two_step", *varma_pq, DEFAULT_LONG_AR_ORDER)
     return fits
 
 
@@ -265,21 +246,26 @@ def _wn_factors(panels, segment_len: int) -> list:
     return [s if isinstance(s, Exception) else next(factors) for s in spectra]
 
 
-def _panel_fields(panel: TimeSeriesPanel, methods, vma_q, varma_pq, with_dtf: bool, wn):
-    """Fit every method to one panel; returns tPDC, tDTF and order dicts keyed by method.
+def _panel_fields(outcomes: dict, methods, with_dtf: bool):
+    """One panel's tPDC, tDTF and order dicts keyed by method, from its ``outcomes`` by method.
 
-    ``wn`` is the panel's entry of :func:`_wn_factors`, raised if it is an
-    error when the method loop reaches ``wn``.  The tDTF dict stays empty
+    An outcome is a parametric fit's ``FitReport``, the ``wn`` factor, or
+    the error either raised, which is raised when the method loop reaches
+    it; an unstable VARMA fit warns there.  The tDTF dict stays empty
     unless ``with_dtf``: only written fields need it.
     """
+    grid = FrequencyGrid(PARAMETRIC_GRID_POINTS)
     tpdc_fields, tdtf_fields, orders_used = {}, {}, {}
     for method in methods:
-        if method != "wn":
-            factor, order = _fit_method(method, panel, vma_q, varma_pq)
-        elif isinstance(wn, Exception):
-            raise wn
+        outcome = outcomes[method]
+        if isinstance(outcome, Exception):
+            raise outcome
+        if method == "wn":
+            factor, order = outcome, None
         else:
-            factor, order = wn, None
+            if method == "varma":
+                _warn_if_unstable(outcome, 1)
+            factor, order = transfer_function(outcome.model, grid), outcome.selected_order
         tpdc_fields[method] = total_pdc(factor, method_tag=method)
         if with_dtf:
             tdtf_fields[method] = total_dtf(factor, method_tag=method)
@@ -290,20 +276,19 @@ def _panel_fields(panel: TimeSeriesPanel, methods, vma_q, varma_pq, with_dtf: bo
 def _group_fields(panels, spec: ExperimentSpec, methods, vma_q, varma_pq, dtf_first: bool):
     """Fit every method to each of ``panels`` as one group; one ``(tPDC, tDTF, orders)`` triple each.
 
-    The panels share one Nuttall-Strand lattice, which frees its buffers at
-    the deepest order their fits read, and one two-step group, which makes
-    each VMA or VARMA fit for all of them on the first panel's fit; their
-    Welch spectra are factored as one Wilson stack.  Each panel's fields
-    are bit-identical to those it gets alone, and the first error raised is
-    the one a panel-by-panel, method-by-method run would raise first.
-    Only the first panel gets tDTF fields, and only if ``dtf_first``.
+    The group's Welch spectra are factored as one Wilson stack, then one
+    ``estimators._fit_group`` call makes every parametric fit of every
+    panel.  Each panel's fields are bit-identical to those it gets alone,
+    and the first error raised is the one a panel-by-panel,
+    method-by-method run would raise first.  Only the first panel gets
+    tDTF fields, and only if ``dtf_first``.
     """
-    _join_lattice(panels, _lattice_depth(methods))
-    _join_two_step(panels, _two_step_fits(methods, vma_q, varma_pq))
+    fits = _method_fits(methods, vma_q, varma_pq)
     wn = _wn_factors(panels, spec.segment_len) if "wn" in methods else [None] * len(panels)
+    fitted = _fit_group(panels, list(fits.values()))
     return [
-        _panel_fields(panel, methods, vma_q, varma_pq, dtf_first and i == 0, factor)
-        for i, (panel, factor) in enumerate(zip(panels, wn))
+        _panel_fields({"wn": factor, **{m: own[fit] for m, fit in fits.items()}}, methods, dtf_first and i == 0)
+        for i, (own, factor) in enumerate(zip(fitted, wn))
     ]
 
 

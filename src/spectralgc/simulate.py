@@ -9,7 +9,6 @@ generated.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,18 +28,14 @@ BLOCK_LEN = 64
 class TimeSeriesPanel:
     """Multichannel sample panel with optional provenance metadata.
 
-    The panel owns a read-only, C-ordered float copy of ``data``, so
-    results derived from it stay valid for the panel's lifetime: the
-    estimators memoise the panel's lattice and long-VAR residuals in
-    ``_memo``, and every fit of one panel shares them.  ``_memo`` is
-    written only under ``_lock``, dies with the panel and is not pickled.
-    As the owner of its memo, a panel compares and hashes by identity.
+    The panel owns a read-only, C-ordered float copy of ``data``, which
+    a pickled copy rebuilds through the constructor.  A panel holds no
+    other state: the estimators keep nothing on it between fits.  It
+    compares and hashes by identity.
     """
 
     data: np.ndarray
     meta: dict = field(default_factory=dict)
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _lock: threading.RLock = field(default_factory=threading.RLock, init=False, repr=False)
 
     def __post_init__(self):
         data = np.array(self.data, dtype=float, order="C")

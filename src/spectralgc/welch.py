@@ -29,6 +29,8 @@ def welch_cross_spectrum(panel: TimeSeriesPanel, segment_len: int = 256) -> Spec
     Each channel is demeaned globally, segments shorter than
     ``segment_len`` are dropped, and the window power is normalized out,
     so for white noise the diagonal averages to the innovation variance.
+    A panel needs at least as many segments as channels; with fewer the
+    estimate is singular at every frequency, and ``ConfigError`` is raised.
 
     The segments are demeaned, windowed and transformed in batches of
     ``max(1, BLOCK_BYTES // (8 N segment_len))``, so the work held at once
@@ -54,9 +56,15 @@ def welch_cross_spectrum(panel: TimeSeriesPanel, segment_len: int = 256) -> Spec
         raise ConfigError(
             f"panel has {panel.n_samples} samples, shorter than one segment of {L}"
         )
+    n_seg = (panel.n_samples - L) // hop + 1
+    if n_seg < panel.n_channels:
+        # a sum of n_seg rank-one periodograms has rank <= n_seg at every frequency
+        raise ConfigError(
+            f"panel has {panel.n_samples} samples, {n_seg} segment(s) of {L}: fewer than its "
+            f"{panel.n_channels} channels, so the estimate is singular"
+        )
     x = panel.data
     mean = x.mean(axis=1, keepdims=True)
-    n_seg = (panel.n_samples - L) // hop + 1
     # (n_seg, N, L) view of the panel: segment k is x[:, k hop : k hop + L]
     all_segments = np.lib.stride_tricks.as_strided(
         x, (n_seg, panel.n_channels, L), (hop * x.strides[1],) + x.strides, writeable=False

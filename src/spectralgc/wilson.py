@@ -35,8 +35,8 @@ The iteration body runs on a stack of equal-shaped spectra
 estimates with one numpy call per step for all its members; each member
 leaves the stack when it converges, and its factor is bit-identical to
 the one it gets alone.  :func:`wilson_factorize` is the stack of one.
-The minimum-phase guard of the two-step fits passes the swaps of a
-lattice group through one stack as well.  A member's entry and exit
+The minimum-phase guard of the two-step fits passes a group's swaps of
+each fit through one stack as well.  A member's entry and exit
 are stacked too: the PSD check is one batched Cholesky (the eigenvalues
 are computed only when it fails, for the message), and the
 normalization ``psi psi_0^{-1}`` and the diagnostic residual's

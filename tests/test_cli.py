@@ -161,6 +161,16 @@ def test_analyze_malformed_panel_exits_two_and_names_the_channel(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("example_id, n_samples", [(2, 300), (1, 300), (2, 511)])
+def test_wn_with_fewer_segments_than_channels_exits_two(tmp_path, capsys, example_id, n_samples):
+    # one or two 256-sample segments give a singular Welch estimate on two or three channels
+    argv = ["example", str(example_id), "--ns", str(n_samples), "--realizations", "1", "--methods", "wn"]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"fewer than its {example_model(example_id).n_channels} channels" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("seg_len", ["255", "0"])
 @pytest.mark.parametrize("command", ["example", "analyze"])
 def test_bad_segment_length_exits_two_and_names_it(tmp_path, capsys, command, seg_len):

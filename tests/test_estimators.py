@@ -136,7 +136,7 @@ def test_varma_with_q_zero_is_a_regression_on_long_var_residuals():
     panel, p, off = simulate(example_model(2), 4096, seed=46), 2, estimators.DEFAULT_LONG_AR_ORDER
     model = fit_varma(panel, p, 0).model
     x = panel.data
-    eps = estimators._long_var_residuals(_fresh(panel), off)
+    eps = _residuals(panel, off)
     n, n_samp = x.shape
     t0 = off + p
     Z = np.concatenate([x[:, t0 - r : n_samp - r] for r in range(1, p + 1)])
@@ -238,37 +238,51 @@ def _assert_same_report(a, b):
         assert np.array_equal(getattr(a.model, name), getattr(b.model, name)), name
 
 
-def _fresh(panel):
-    """A panel with the same data and an empty memo."""
-    return TimeSeriesPanel(panel.data)
+def _stages(panel, p_max):
+    """A lone panel's stages for p = 0..p_max; the error of a failed stage is raised."""
+    ((stages, error),) = estimators._lattice_run([panel.data], p_max)
+    if error is not None:
+        raise error
+    return stages
+
+
+def _residuals(panel, long_ar_order):
+    """A lone panel's long-VAR residuals."""
+    return estimators._long_var_residuals(panel.data, _stages(panel, long_ar_order)[long_ar_order][0])
+
+
+#: the fits of test_shared_lattice_fits_are_bit_identical_to_standalone, as _fit_group fits and as lone fits
+GROUP_FITS = {"var": ("var", 30), "vma": ("two_step", 0, 5, 50), "varma": ("two_step", 2, 2, 50)}
+LONE_FITS = {
+    "var": lambda pn: fit_var(pn, p_max=30),
+    "vma": lambda pn: fit_vma(pn, 5),
+    "varma": lambda pn: fit_varma(pn, 2, 2),
+}
 
 
 @pytest.mark.parametrize("order", [("var", "vma", "varma"), ("vma", "var", "varma"), ("varma", "vma", "var")])
 def test_shared_lattice_fits_are_bit_identical_to_standalone(order):
+    # the fits of one panel share one lattice and one set of residuals, in any order
     panel = simulate(example_model(2), 4096, seed=12)
-    fits = {
-        "var": lambda pn: fit_var(pn, p_max=30),
-        "vma": lambda pn: fit_vma(pn, 5),
-        "varma": lambda pn: fit_varma(pn, 2, 2),
-    }
-    shared = {m: fits[m](panel) for m in order}
+    (shared,) = estimators._fit_group([panel], [GROUP_FITS[m] for m in order])
+    assert list(shared) == [GROUP_FITS[m] for m in order]
     for m in order:
-        _assert_same_report(shared[m], fits[m](_fresh(panel)))
+        _assert_same_report(shared[GROUP_FITS[m]], LONE_FITS[m](panel))
 
 
 def _count_stages(monkeypatch):
-    """Counts lattice stages per panel (``stages``) and batched stages of a group (``steps``)."""
-    counter = {"stages": 0, "steps": 0}
+    """Records the number of panels of every batched lattice step after stage 0."""
+    sizes = []  # list.append is atomic, so threads may share it
     original = estimators._lattice_stages
 
     def counting(x, cap):
         for k, stage in enumerate(original(x, cap)):
-            counter["stages"] += (k > 0) * len(x)
-            counter["steps"] += k > 0
+            if k:
+                sizes.append(len(x))
             yield stage
 
     monkeypatch.setattr(estimators, "_lattice_stages", counting)
-    return counter
+    return sizes
 
 
 @pytest.mark.parametrize("example_id, shared_stages, separate_stages", [(1, 50, 80), (2, 50, 130)])
@@ -276,15 +290,17 @@ def test_one_lattice_per_realization(monkeypatch, example_id, shared_stages, sep
     spec = ExperimentSpec(example_id=example_id, n_samples=1024, n_realizations=1)
     model = example_model(example_id)
     methods, vma_q, varma_pq = experiments._resolve_methods_and_orders(spec, model)
-    counter = _count_stages(monkeypatch)
+    sizes = _count_stages(monkeypatch)
     experiments._realization_fields(model, spec, methods, vma_q, varma_pq, [0])
-    assert counter["stages"] == counter["steps"] == shared_stages
-    counter["stages"] = counter["steps"] = 0
+    assert sum(sizes) == len(sizes) == shared_stages
+    del sizes[:]
+    # each public fit is a group of one with a lattice of its own
     panel = simulate(model, spec.n_samples, spec.base_seed)
+    lone = {"var": lambda: fit_var(panel), "vma": lambda: fit_vma(panel, vma_q), "varma": lambda: fit_varma(panel, *varma_pq)}
     for method in methods:
         if method != "wn":  # Welch and Wilson run no lattice stages
-            experiments._fit_method(method, _fresh(panel), vma_q, varma_pq)
-    assert counter["stages"] == counter["steps"] == separate_stages
+            lone[method]()
+    assert sum(sizes) == len(sizes) == separate_stages
 
 
 @pytest.mark.parametrize("example_id", [1, 2])
@@ -293,9 +309,9 @@ def test_grouped_realizations_match_single_ones(monkeypatch, example_id):
     spec = ExperimentSpec(example_id=example_id, n_samples=1024, n_realizations=3)
     model = example_model(example_id)
     methods, vma_q, varma_pq = experiments._resolve_methods_and_orders(spec, model)
-    counter = _count_stages(monkeypatch)
+    sizes = _count_stages(monkeypatch)
     grouped, _ = experiments._realization_fields(model, spec, methods, vma_q, varma_pq, [0, 1, 2])
-    assert (counter["stages"], counter["steps"]) == (150, 50)
+    assert (sum(sizes), len(sizes)) == (150, 50)
     for r, (tpdc, tdtf, orders) in enumerate(grouped):
         alone_tpdc, alone_tdtf, alone_orders = experiments._realization_fields(
             model, spec, methods, vma_q, varma_pq, [r]
@@ -306,15 +322,6 @@ def test_grouped_realizations_match_single_ones(monkeypatch, example_id):
             assert np.array_equal(tpdc[m].values, alone_tpdc[m].values), (r, m)
             if r == 0:
                 assert np.array_equal(tdtf[m].values, alone_tdtf[m].values), m
-
-
-def test_standalone_panel_shares_one_lattice(monkeypatch):
-    # no driver involved: any caller fitting one panel twice shares its lattice
-    panel = simulate(example_model(1), 1024, seed=0)
-    counter = _count_stages(monkeypatch)
-    fit_var(panel, p_max=30)
-    fit_vma(panel, q=1)
-    assert counter["stages"] == 50  # not 30 + 50
 
 
 def _fail_at_stage_3(monkeypatch, error):
@@ -334,48 +341,46 @@ def _fail_at_stage_3(monkeypatch, error):
 
 def test_lattice_failure_is_not_cached(monkeypatch):
     panel = simulate(example_model(2), 2048, seed=3)
+    want = fit_var(panel, p_max=10)
     real_solve = estimators._solve_sylvester
     calls = _fail_at_stage_3(monkeypatch, np.linalg.LinAlgError("forced"))
     with pytest.raises(NumericalError, match="stage 3"):
         fit_var(panel, p_max=10)
-    assert panel._memo == {}
     calls["n"] = 0  # a retry runs a fresh lattice and fails the same way
     with pytest.raises(NumericalError, match="stage 3"):
         fit_var(panel, p_max=10)
-    assert panel._memo == {}
     monkeypatch.setattr(estimators, "_solve_sylvester", real_solve)
-    _assert_same_report(fit_var(panel, p_max=10), fit_var(_fresh(panel), p_max=10))
+    _assert_same_report(fit_var(panel, p_max=10), want)
 
 
 @pytest.mark.parametrize("size", [1, 2])
 def test_interrupted_lattice_is_not_cached(monkeypatch, size):
-    # any other exception out of a stage also spends the lattice, and propagates even from a group
+    # any other exception out of a stage propagates, from a group of any size, with no lone rerun
     panels = [simulate(example_model(2), 2048, seed=s) for s in range(3, 3 + size)]
-    estimators._join_lattice(panels)
+    want = [fit_var(panel, p_max=10) for panel in panels]
     calls = _fail_at_stage_3(monkeypatch, KeyboardInterrupt())
     with pytest.raises(KeyboardInterrupt):
-        fit_var(panels[0], p_max=10)
-    assert panels[0]._memo == {} and calls["n"] == 3
-    for panel in panels:
-        _assert_same_report(fit_var(panel, p_max=10), fit_var(_fresh(panel), p_max=10))
+        estimators._fit_group(panels, [("var", 10), ("two_step", 0, 1, 10)])
+    assert calls["n"] == 3
+    for panel, report in zip(panels, want):
+        _assert_same_report(fit_var(panel, p_max=10), report)
 
 
 def test_long_var_residuals_computed_once_per_panel(monkeypatch):
-    panel = simulate(example_model(2), 2048, seed=3)
-    calls = {"n": 0}
-    original = estimators._nuttall_strand
-
-    def counting(pn, p_max):
-        calls["n"] += 1
-        return original(pn, p_max)
-
-    monkeypatch.setattr(estimators, "_nuttall_strand", counting)
-    vma, varma = fit_vma(panel, 3), fit_varma(panel, 2, 2)
-    assert calls["n"] == 1  # the VARMA fit reuses the VMA fit's residuals
-    fit_vma(panel, 3, long_ar_order=40)
-    assert calls["n"] == 2  # another order is another entry
-    _assert_same_report(vma, fit_vma(_fresh(panel), 3))
-    _assert_same_report(varma, fit_varma(_fresh(panel), 2, 2))
+    # one lattice to order 50 serves every fit; the VARMA fit reuses the VMA fit's
+    # residuals, and another long AR order is another set
+    panels = [simulate(example_model(2), 2048, seed=s) for s in (3, 4)]
+    sizes = _count_stages(monkeypatch)
+    real, orders = estimators._long_var_residuals, []
+    monkeypatch.setattr(estimators, "_long_var_residuals", lambda x, ar: orders.append(len(ar)) or real(x, ar))
+    fits = [("two_step", 0, 3, 50), ("two_step", 2, 2, 50), ("two_step", 0, 3, 40)]
+    got = estimators._fit_group(panels, fits)
+    assert sum(sizes) == 2 * len(sizes) == 100
+    assert sorted(orders) == [40, 40, 50, 50]
+    for panel, own in zip(panels, got):
+        _assert_same_report(own[fits[0]], fit_vma(panel, 3))
+        _assert_same_report(own[fits[1]], fit_varma(panel, 2, 2))
+        _assert_same_report(own[fits[2]], fit_vma(panel, 3, long_ar_order=40))
 
 
 def _traced_peak(f):
@@ -404,7 +409,7 @@ def test_streamed_normal_equations_match_one_product(p, q, n_blocks, extra):
     off = estimators.DEFAULT_LONG_AR_ORDER
     n_s = off + max(p, q) + n_blocks * step + extra
     panel = simulate(example_model(2), n_s, seed=p + q + n_blocks)
-    eps = estimators._long_var_residuals(panel, off)
+    eps = _residuals(panel, off)
     got = estimators._normal_equations(panel.data, eps, p, q)
     want = ref.two_step_normal_equations(panel.data, eps, p, q)
     for g, w in zip(got, want):
@@ -415,14 +420,13 @@ def test_streamed_normal_equations_match_one_product(p, q, n_blocks, extra):
 
 
 def test_two_step_memory_is_bounded_by_the_block():
-    # with the whole regressor matrix, fit_vma(q=20) peaked at 8.3 MB on this panel
+    # with the whole regressor matrix, the regression of fit_vma(q=20) peaked at 8.3 MB on this panel
     streamed = []
     for n_s in (16384, 32768):
         panel = simulate(example_model(2), n_s, seed=8)
-        fit_vma(panel, 20)  # warm: the lattice and eps are memoised
-        eps = estimators._long_var_residuals(panel, estimators.DEFAULT_LONG_AR_ORDER)
+        eps = _residuals(panel, estimators.DEFAULT_LONG_AR_ORDER)
         if n_s == 16384:
-            assert _traced_peak(lambda: fit_vma(panel, 20)) < 1_000_000
+            assert _traced_peak(lambda: estimators._regress_two_step(panel.data, eps, 0, 20)) < 1_000_000
         streamed.append(_traced_peak(lambda: estimators._normal_equations(panel.data, eps, 0, 20)))
     assert streamed[1] < 1.5 * streamed[0]
 
@@ -430,18 +434,24 @@ def test_two_step_memory_is_bounded_by_the_block():
 CONCURRENT_ORDERS = [5, 30, 12, 50, 20, 40, 8, 25]
 
 
-def _concurrent_fit(panel, i):
+def _concurrent_fit(i):
+    """Thread ``i``'s fit, as a ``_fit_group`` fit."""
     order = CONCURRENT_ORDERS[i]
-    return fit_var(panel, p_max=order) if i % 2 else fit_vma(panel, 3, long_ar_order=order)
+    return ("var", order) if i % 2 else ("two_step", 0, 3, order)
 
 
-def _fit_concurrently(monkeypatch, panels):
-    """Eight threads fit ``panels`` (one group) round-robin; returns the stage counts.
+def _lone_fit(panel, fit):
+    return fit_var(panel, p_max=fit[1]) if fit[0] == "var" else fit_vma(panel, 3, long_ar_order=fit[3])
+
+
+def _run_concurrently(monkeypatch, work):
+    """Eight threads run ``work(i)``; returns their results and the lattice step sizes they ran.
 
     More threads than cores, a short switch interval and stages that
-    sleep, so unlocked memo or group access would enter a generator twice.
+    sleep, so any state the fits shared would be entered by two threads
+    at once.
     """
-    counter = _count_stages(monkeypatch)
+    sizes = _count_stages(monkeypatch)
     counting = estimators._lattice_stages
 
     def slow(x, cap):
@@ -450,20 +460,18 @@ def _fit_concurrently(monkeypatch, panels):
             yield stage
 
     monkeypatch.setattr(estimators, "_lattice_stages", slow)
-    if len(panels) > 1:  # one group for all; a lone panel starts its lattice under its lock
-        estimators._join_lattice(panels)
     results, errors = [None] * len(CONCURRENT_ORDERS), []
 
-    def fit(i):
+    def run(i):
         try:
-            results[i] = _concurrent_fit(panels[i % len(panels)], i)
+            results[i] = work(i)
         except Exception as exc:  # reported below; a thread cannot raise into the test
             errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=fit, args=(i,)) for i in range(len(CONCURRENT_ORDERS))]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(CONCURRENT_ORDERS))]
         for t in threads:
             t.start()
         for t in threads:
@@ -471,23 +479,27 @@ def _fit_concurrently(monkeypatch, panels):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
-    counted = dict(counter)  # before the standalone fits below add their own stages
+    return results, list(sizes)  # before the lone fits of the caller add their own stages
+
+
+def test_concurrent_fits_of_one_panel_match_lone_fits(monkeypatch):
+    # public fits of one panel from eight threads: each runs a lattice of its own
+    panel = simulate(example_model(2), 2048, seed=8)
+    results, sizes = _run_concurrently(monkeypatch, lambda i: _lone_fit(panel, _concurrent_fit(i)))
+    assert sum(sizes) == len(sizes) == sum(CONCURRENT_ORDERS)
     for i, report in enumerate(results):
-        _assert_same_report(report, _concurrent_fit(_fresh(panels[i % len(panels)]), i))
-    return counted
-
-
-def test_concurrent_fits_of_one_panel_share_one_lattice(monkeypatch):
-    counter = _fit_concurrently(monkeypatch, [simulate(example_model(2), 2048, seed=8)])
-    assert counter["stages"] == max(CONCURRENT_ORDERS)
+        _assert_same_report(report, _lone_fit(panel, _concurrent_fit(i)))
 
 
 def test_concurrent_fits_of_one_group_share_one_lattice(monkeypatch):
-    # threads fitting different members of one group extend its lattice once
+    # eight threads fit one group of three panels; each call runs one batched lattice for the group
     panels = [simulate(example_model(2), 2048, seed=s) for s in range(8, 11)]
-    counter = _fit_concurrently(monkeypatch, panels)
-    assert counter["steps"] == max(CONCURRENT_ORDERS)
-    assert counter["stages"] == len(panels) * max(CONCURRENT_ORDERS)
+    results, sizes = _run_concurrently(monkeypatch, lambda i: estimators._fit_group(panels, [_concurrent_fit(i)]))
+    assert len(sizes) == sum(CONCURRENT_ORDERS) and set(sizes) == {len(panels)}
+    for i, outcomes in enumerate(results):
+        fit = _concurrent_fit(i)
+        for panel, own in zip(panels, outcomes):
+            _assert_same_report(own[fit], _lone_fit(panel, fit))
 
 
 # ------------------------------------------------------------ lattice internals
@@ -495,7 +507,7 @@ def test_concurrent_fits_of_one_group_share_one_lattice(monkeypatch):
 def _assert_matches_reference(panel, p_max, bound, label):
     """A lone panel's stages against the per-block recursion, relative to each stage's largest entry."""
     n = panel.n_channels
-    got = estimators._nuttall_strand(panel, p_max)
+    got = _stages(panel, p_max)
     want = ref.nuttall_strand_blocks(panel.data, p_max)
     assert len(got) == len(want) == p_max + 1
     for m, ((ar, cov), (ar_ref, cov_ref)) in enumerate(zip(got, want)):
@@ -504,6 +516,21 @@ def _assert_matches_reference(panel, p_max, bound, label):
             ar_ref = np.array(ar_ref)
             assert np.max(np.abs(ar - ar_ref)) <= bound * np.max(np.abs(ar_ref)), (label, m)
         assert np.max(np.abs(cov - cov_ref)) <= bound * np.max(np.abs(cov_ref)), (label, m)
+
+
+def _assert_same_stages(got, want):
+    assert len(got) == len(want)
+    for m, ((ar, cov), (ar_want, cov_want)) in enumerate(zip(got, want)):
+        assert np.array_equal(ar, ar_want) and np.array_equal(cov, cov_want), m
+
+
+def _assert_group_matches_lone_panels(panels, p_max):
+    """Each panel's stages in one lattice of ``panels`` are its lone stages, bit for bit."""
+    grouped = estimators._lattice_run([panel.data for panel in panels], p_max)
+    assert len(grouped) == len(panels)
+    for panel, (stages, error) in zip(panels, grouped):
+        assert error is None
+        _assert_same_stages(stages, _stages(panel, p_max))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -523,15 +550,9 @@ def test_lattice_matches_per_block_reference(n):
             simulate(_random_stable_model(rng, n, int(rng.integers(1, 4)), 0), 1500, seed=s)
             for s in range(size)
         ]
-        estimators._join_lattice(panels)
-        for panel in panels:
-            assert len(panel._memo["lattice"][0]) == size
-            got = estimators._nuttall_strand(panel, p_max)
-            alone = estimators._nuttall_strand(_fresh(panel), p_max)
-            assert len(got) == len(alone) == p_max + 1
-            for m, ((ar, cov), (ar_alone, cov_alone)) in enumerate(zip(got, alone)):
-                assert ar.shape == (m, n, n) and cov.shape == (n, n)
-                assert np.array_equal(ar, ar_alone) and np.array_equal(cov, cov_alone), (size, m)
+        for panel, (stages, _) in zip(panels, estimators._lattice_run([pn.data for pn in panels], p_max)):
+            assert all(ar.shape == (m, n, n) and cov.shape == (n, n) for m, (ar, cov) in enumerate(stages))
+        _assert_group_matches_lone_panels(panels, p_max)
 
 
 def _random_panel(n, n_samples, seed):
@@ -579,15 +600,12 @@ def test_lattice_matches_per_block_reference_at_the_extremes(case):
 )
 def test_lattice_group_past_capacity_matches_lone_panels(n_samples, p_max):
     # the edge windows are rebuilt when the operators grow past 64, and hold the
-    # whole record of a shorter panel; grouped stages stay bit-identical either way
+    # whole record of a shorter panel; grouped stages stay bit-identical either way,
+    # and so do the reports of fits that read them
     panels = [_random_panel(2, n_samples, s) for s in range(3)]
-    estimators._join_lattice(panels)
-    for panel in panels:
-        got = estimators._nuttall_strand(panel, p_max)
-        alone = estimators._nuttall_strand(_fresh(panel), p_max)
-        assert len(got) == len(alone) == p_max + 1
-        for m, ((ar, cov), (ar_alone, cov_alone)) in enumerate(zip(got, alone)):
-            assert np.array_equal(ar, ar_alone) and np.array_equal(cov, cov_alone), m
+    _assert_group_matches_lone_panels(panels, p_max)
+    for panel, own in zip(panels, estimators._fit_group(panels, [("var", p_max)])):
+        _assert_same_report(own[("var", p_max)], fit_var(panel, p_max=p_max))
 
 
 PAST_N_S = "Nuttall-Strand stage 40 is past order n_s - 1 = 39"
@@ -598,33 +616,24 @@ def test_lattice_past_order_n_s_minus_1_is_a_numerical_failure(seed):
     # seeds 2 and 3 stay positive definite up to order n_s - 1 = 39, where stage 40's
     # lag product would take a negative, wrapping slice of the 40 samples
     with pytest.raises(NumericalError, match=PAST_N_S):
-        estimators._nuttall_strand(simulate(example_model(4), 40, seed=seed), 140)
+        _stages(simulate(example_model(4), 40, seed=seed), 140)
 
 
 @pytest.mark.parametrize("failing", [0, 1])
 def test_lattice_past_order_n_s_minus_1_spends_its_group(failing):
-    panels = [simulate(example_model(4), 40, seed=s) for s in (2, 3)]
-    estimators._join_lattice(panels)
-    for _ in range(2):  # the lone retry fails the same way
-        with pytest.raises(NumericalError, match=PAST_N_S):
-            estimators._nuttall_strand(panels[failing], 140)
-    # the other member continues on a lattice of its own
-    other = panels[1 - failing]
-    got = estimators._nuttall_strand(other, 20)
-    alone = estimators._nuttall_strand(_fresh(other), 20)
-    assert len(other._memo["lattice"][0]) == 1 and len(got) == len(alone) == 21
-    for m, ((ar, cov), (ar_alone, cov_alone)) in enumerate(zip(got, alone)):
-        assert np.array_equal(ar, ar_alone) and np.array_equal(cov, cov_alone), m
-
-
-def _assert_same_stages(got, want):
-    assert len(got) == len(want)
-    for m, ((ar, cov), (ar_want, cov_want)) in enumerate(zip(got, want)):
-        assert np.array_equal(ar, ar_want) and np.array_equal(cov, cov_want), m
+    # the stacked stage 40 fails, and each panel, in either place of the group, reruns
+    # alone and keeps the 40 stages it reaches, with its own error
+    seeds = (2, 3) if failing == 0 else (3, 2)
+    panels = [simulate(example_model(4), 40, seed=s) for s in seeds]
+    grouped = estimators._lattice_run([panel.data for panel in panels], 140)
+    for panel, (stages, error) in zip(panels, grouped):
+        assert isinstance(error, NumericalError) and str(error) == PAST_N_S
+        _assert_same_stages(stages, _stages(panel, 39))
 
 
 @pytest.mark.parametrize("size", [1, 3])
 def test_lattice_group_frees_its_buffers_at_its_depth(monkeypatch, size):
+    # the lattice closes at the deepest order the fits read, before any fit is made
     edges = []
     real_edge_windows = estimators._edge_windows
 
@@ -633,25 +642,25 @@ def test_lattice_group_frees_its_buffers_at_its_depth(monkeypatch, size):
         edges.append(weakref.ref(e))
         return e
 
+    alive = []
+    real_regress = estimators._regress_two_step
+
+    def checking_regress(*args):
+        gc.collect()
+        alive.append(edges[0]() is not None)
+        return real_regress(*args)
+
     monkeypatch.setattr(estimators, "_edge_windows", tracked_edge_windows)
+    monkeypatch.setattr(estimators, "_regress_two_step", checking_regress)
     panels = [simulate(example_model(2), 1024, seed=s) for s in range(size)]
-    estimators._join_lattice(panels, 12)
-    group = panels[0]._memo["lattice"][0]
-    got = estimators._nuttall_strand(panels[0], 12)  # reaches the depth
+    fits = [("var", 7), ("two_step", 0, 1, 12)]
+    got = estimators._fit_group(panels, fits)
+    assert len(edges) == 1 and alive == [False] * size  # one E, gone with the lattice
     gc.collect()
-    assert len(edges) == 1 and edges[0]() is None  # E went with the generator
-    served = [estimators._nuttall_strand(panel, 7) for panel in panels]
-    assert len(edges) == 1  # the group serves the stages it holds, with no new E
-    for panel, stages in zip(panels, served):
-        _assert_same_stages(stages, estimators._nuttall_strand(_fresh(panel), 7))
-        assert panel._memo["lattice"][0] is group
-    _assert_same_stages(got, estimators._nuttall_strand(_fresh(panels[0]), 12))
-    # a deeper request continues on a lone lattice of the same stages
-    deeper = panels[-1]
-    _assert_same_stages(estimators._nuttall_strand(deeper, 20), estimators._nuttall_strand(_fresh(deeper), 20))
-    assert len(deeper._memo["lattice"][0]) == 1 and deeper._memo["lattice"][0] is not group
-    if size > 1:
-        assert panels[0]._memo["lattice"][0] is group
+    assert edges[0]() is None
+    for panel, own in zip(panels, got):
+        _assert_same_report(own[fits[0]], fit_var(panel, p_max=7))
+        _assert_same_report(own[fits[1]], fit_vma(panel, 1, long_ar_order=12))
 
 
 @pytest.mark.parametrize("cap, n_samples", [(8, 1), (8, 5), (8, 8), (8, 13), (64, 40), (64, 64), (64, 65), (64, 300)])
@@ -698,10 +707,11 @@ def test_nearly_collinear_panel_is_a_numerical_failure():
         fit_var(_collinear_panel(), p_max=5)
 
 
-def _failing_group():
-    """Two healthy example-1 panels around a collinear one, and the collinear panel's lone error."""
-    panels = [simulate(example_model(1), 4096, seed=60), _collinear_panel(), simulate(example_model(1), 4096, seed=61)]
-    return panels, _error_text(lambda: fit_var(_fresh(panels[1]), p_max=5))
+def _failing_group(failing):
+    """Two healthy example-1 panels and a collinear one at place ``failing``, and its lone error."""
+    panels = [simulate(example_model(1), 4096, seed=60), simulate(example_model(1), 4096, seed=61)]
+    panels.insert(failing, _collinear_panel())
+    return panels, _error_text(lambda: fit_var(panels[failing], p_max=5))
 
 
 def _error_text(fit):
@@ -710,59 +720,46 @@ def _error_text(fit):
     return str(info.value)
 
 
+VAR_AND_VMA = [("var", 5), ("var", 30), ("two_step", 0, 1, 50)]
+
+
 @pytest.mark.parametrize("first", [0, 1])
 def test_failed_group_breaks_up(first):
-    panels, alone = _failing_group()
-    estimators._join_lattice(panels)
-    spent = panels[0]._memo["lattice"][0]
-
-    def holds_spent(panel):
-        return panel._memo.get("lattice", (None,))[0] is spent
-
-    if first == 0:
-        # the healthy member whose fit ran into the failing stage continues alone
-        _assert_same_report(fit_var(panels[0], p_max=5), fit_var(_fresh(panels[0]), p_max=5))
-        assert len(panels[0]._memo["lattice"][0]) == 1
-    else:
-        assert _error_text(lambda: fit_var(panels[1], p_max=5)) == alone
-        assert panels[1]._memo == {}
-    # the spent group leaves a memo only through that panel's own next fit
-    assert not holds_spent(panels[first]) and holds_spent(panels[2])
-    for _ in range(2):  # the failing member raises, and a retry fails the same way
-        assert _error_text(lambda: fit_var(panels[1], p_max=5)) == alone
-        assert panels[1]._memo == {}
-    for panel in (panels[0], panels[2]):
-        _assert_same_report(fit_var(panel, p_max=30), fit_var(_fresh(panel), p_max=30))
-        assert not holds_spent(panel)
-        _assert_same_report(fit_vma(panel, 1), fit_vma(_fresh(panel), 1))
-    spent = weakref.ref(spent)  # no memo holds the group any more, so it dies
-    gc.collect()
-    assert spent() is None
+    # the collinear panel, first or in the middle, takes its lone error for every fit,
+    # and the others, rerun on lattices of their own, get their lone reports
+    panels, alone = _failing_group(first)
+    got = estimators._fit_group(panels, VAR_AND_VMA)
+    for k, (panel, own) in enumerate(zip(panels, got)):
+        if k == first:
+            assert all(type(own[fit]) is NumericalError and str(own[fit]) == alone for fit in VAR_AND_VMA)
+            assert _error_text(lambda: fit_var(panel, p_max=5)) == alone  # a retry fails the same way
+        else:
+            _assert_same_report(own[VAR_AND_VMA[0]], fit_var(panel, p_max=5))
+            _assert_same_report(own[VAR_AND_VMA[1]], fit_var(panel, p_max=30))
+            _assert_same_report(own[VAR_AND_VMA[2]], fit_vma(panel, 1))
 
 
-class _MemoWithHook(dict):
-    """A memo that runs ``hook`` once, between a test for ``"lattice"`` and the read after it."""
+def test_failed_stage_fails_only_the_deeper_fits_of_its_panel(monkeypatch):
+    # a stage forced to fail at order 12 for one panel, in the stack and alone: that panel
+    # keeps its fits up to order 11, and every other panel gets its lone reports
+    panels = [simulate(example_model(1), 1024, seed=s) for s in range(3)]
+    real = estimators._lattice_stages
 
-    def __init__(self, hook):
-        super().__init__()
-        self.hook = hook
+    def failing(x, cap):
+        for m, stage in enumerate(real(x, cap)):
+            if m == 12 and any(np.array_equal(xi, panels[1].data) for xi in x):
+                raise NumericalError("Nuttall-Strand stage 12 failed: forced")
+            yield stage
 
-    def __contains__(self, key):
-        found = super().__contains__(key)
-        if key == "lattice" and self.hook is not None:
-            hook, self.hook = self.hook, None
-            hook()
-        return found
-
-
-def test_failed_group_leaves_other_memos_to_their_own_fits():
-    # member 0's fit runs into member 1's failing stage while member 2's fit
-    # has found the group in its memo and not yet read it
-    panels, _ = _failing_group()
-    object.__setattr__(panels[2], "_memo", _MemoWithHook(lambda: fit_var(panels[0], p_max=5)))
-    estimators._join_lattice(panels)
-    _assert_same_report(fit_var(panels[2], p_max=5), fit_var(_fresh(panels[2]), p_max=5))
-    assert panels[2]._memo.hook is None and len(panels[2]._memo["lattice"][0]) == 1
+    monkeypatch.setattr(estimators, "_lattice_stages", failing)
+    fits = [("var", 11), ("var", 12), ("two_step", 0, 1, 50)]
+    got = estimators._fit_group(panels, fits)
+    _assert_same_report(got[1][fits[0]], fit_var(panels[1], p_max=11))
+    assert all(str(got[1][fit]) == "Nuttall-Strand stage 12 failed: forced" for fit in fits[1:])
+    for k in (0, 2):
+        _assert_same_report(got[k][fits[0]], fit_var(panels[k], p_max=11))
+        _assert_same_report(got[k][fits[1]], fit_var(panels[k], p_max=12))
+        _assert_same_report(got[k][fits[2]], fit_vma(panels[k], 1))
 
 
 @pytest.mark.xfail(strict=True, reason="the Wilson swap leaves MA zeros next to the unit circle outside it")
@@ -779,11 +776,12 @@ def test_fitted_ma_is_minimum_phase_near_the_unit_circle(seed):
 SWAPPED_SEEDS = (56001, 56003, 56004, 56006, 56007, 56012, 56013, 56014, 56015)
 
 
-def _two_step_groups(panels, size, fits):
-    """Join ``panels`` in groups of ``size``, lattice and two-step fits, as the Monte Carlo driver does."""
-    for k in range(0, len(panels), size):
-        estimators._join_lattice(panels[k : k + size], estimators.DEFAULT_LONG_AR_ORDER)
-        estimators._join_two_step(panels[k : k + size], fits)
+VMA1 = ("two_step", 0, 1, estimators.DEFAULT_LONG_AR_ORDER)
+
+
+def _group_outcomes(panels, size, fit):
+    """Each panel's outcome of ``fit``, made in groups of ``size`` as the Monte Carlo driver makes it."""
+    return [own[fit] for k in range(0, len(panels), size) for own in estimators._fit_group(panels[k : k + size], [fit])]
 
 
 def _record_stacks(monkeypatch, budget=None):
@@ -807,17 +805,16 @@ def _outcome(fit):
 
 @pytest.mark.parametrize("size", [1, 4, 8])
 def test_grouped_vma_fits_match_lone_ones(monkeypatch, size):
-    # seeds 56000-56015: a group makes every member's fit on the first member's call and
-    # swaps its members' MA parts in one Wilson stack; each report is the lone fit's
+    # seeds 56000-56015: a group swaps its members' MA parts in one Wilson stack,
+    # and each report is the lone fit's
     panels = [simulate(example_model(1), 1024, seed=s) for s in range(56000, 56016)]
-    _two_step_groups(panels, size, [(0, 1, estimators.DEFAULT_LONG_AR_ORDER)])
     sizes = _record_stacks(monkeypatch)
-    got = [fit_vma(panel, 1) for panel in panels]
+    got = _group_outcomes(panels, size, VMA1)
     swapped = [sum(s in SWAPPED_SEEDS for s in range(56000 + k, 56000 + k + size)) for k in range(0, 16, size)]
     assert sizes == [n for n in swapped if n]
     del sizes[:]
     for panel, report in zip(panels, got):
-        _assert_same_report(report, fit_vma(_fresh(panel), 1))
+        _assert_same_report(report, fit_vma(panel, 1))
     assert sizes == [1] * len(SWAPPED_SEEDS)
 
 
@@ -825,11 +822,10 @@ def test_swap_out_of_iterations_fails_its_own_fit(monkeypatch):
     # with 15 iterations 56003's swap (19 alone) runs out; 56001, 56004, 56006 and 56007
     # (11-14) converge in the same stack, and every other member gets its lone report
     panels = [simulate(example_model(1), 1024, seed=s) for s in range(56000, 56008)]
-    _two_step_groups(panels, 8, [(0, 1, estimators.DEFAULT_LONG_AR_ORDER)])
     sizes = _record_stacks(monkeypatch, budget=15)
-    got = [_outcome(lambda: fit_vma(panel, 1)) for panel in panels]
+    got = _group_outcomes(panels, 8, VMA1)
     assert sizes == [5]
-    want = [_outcome(lambda: fit_vma(_fresh(panel), 1)) for panel in panels]
+    want = [_outcome(lambda: fit_vma(panel, 1)) for panel in panels]
     for seed, g, w in zip(range(56000, 56008), got, want):
         if seed == 56003:
             assert type(g) is type(w) is NonConvergenceError and str(g) == str(w)
@@ -841,7 +837,8 @@ def test_failed_root_check_fails_only_its_own_fit(monkeypatch):
     # 56002's MA root check raising (forced) fails its fit alone; in the same guard stack
     # 56001 and 56003 are swapped and 56000 is kept, each with its lone report
     panels = [simulate(example_model(1), 1024, seed=s) for s in range(56000, 56004)]
-    bad_ma = estimators._regress_two_step(_fresh(panels[2]), 0, 1, estimators.DEFAULT_LONG_AR_ORDER)[1]
+    eps = _residuals(panels[2], estimators.DEFAULT_LONG_AR_ORDER)
+    bad_ma = estimators._regress_two_step(panels[2].data, eps, 0, 1)[1]
     real = estimators.ma_root_report
 
     def failing(model):
@@ -850,11 +847,10 @@ def test_failed_root_check_fails_only_its_own_fit(monkeypatch):
         return real(model)
 
     monkeypatch.setattr(estimators, "ma_root_report", failing)
-    _two_step_groups(panels, 4, [(0, 1, estimators.DEFAULT_LONG_AR_ORDER)])
     sizes = _record_stacks(monkeypatch)
-    got = [_outcome(lambda: fit_vma(panel, 1)) for panel in panels]
+    got = _group_outcomes(panels, 4, VMA1)
     assert sizes == [2]
-    want = [_outcome(lambda: fit_vma(_fresh(panel), 1)) for panel in panels]
+    want = [_outcome(lambda: fit_vma(panel, 1)) for panel in panels]
     for k, (g, w) in enumerate(zip(got, want)):
         if k == 2:
             assert type(g) is type(w) is NumericalError and str(g) == str(w) == "forced root-check failure"
@@ -862,50 +858,37 @@ def test_failed_root_check_fails_only_its_own_fit(monkeypatch):
             _assert_same_report(g, w)
 
 
-def test_grouped_varma_fits_keep_their_warnings():
-    # example 2 with a third-channel pole at 0.999: the VARMA(2, 2) fits of seeds 14 and 29
-    # are not stable; in groups of five each member warns on its own fit, as it does alone
+def _pole_model():
+    """Example 2 with a third-channel pole at 0.999: the VARMA(2, 2) fits of seeds 14 and 29 are not stable."""
     base = example_model(2)
     ar = base.ar_blocks.copy()
     ar[0, 2, 2] = 0.999
-    model = VarmaModel(ar, base.ma_blocks, base.innovations_cov)
-    seeds = (12, 13, 14, 15, 16, 27, 28, 29, 30, 31)
-    panels = [simulate(model, 1024, seed=s) for s in seeds]
-
-    def fit_all(panels):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            reports = []
-            for k, panel in enumerate(panels):
-                n = len(caught)
-                reports.append(fit_varma(panel, 2, 2))
-                caught[n:] = [(k, w.category, str(w.message), w.filename) for w in caught[n:]]
-        return reports, caught
-
-    _two_step_groups(panels, 5, [(2, 2, estimators.DEFAULT_LONG_AR_ORDER)])
-    got, got_warnings = fit_all(panels)
-    want, want_warnings = fit_all([_fresh(panel) for panel in panels])
-    assert [k for k, *_ in want_warnings] == [2, 7]
-    assert got_warnings == want_warnings
-    for g, w in zip(got, want):
-        _assert_same_report(g, w)
+    return VarmaModel(ar, base.ma_blocks, base.innovations_cov)
 
 
-def test_two_step_group_serves_only_its_fits(monkeypatch):
-    # another order is a lone fit; a member's outcome is handed out once, and a second
-    # fit of the same order is a lone fit again; the group lets go of its panels once
-    # every fit it serves is made
-    panels = [simulate(example_model(1), 1024, seed=s) for s in range(56000, 56004)]
-    _two_step_groups(panels, 4, [(0, 1, estimators.DEFAULT_LONG_AR_ORDER)])
-    group = panels[0]._memo["two_step"][0]
-    stacks = []
-    real = estimators._fit_two_step_stack
-    monkeypatch.setattr(estimators, "_fit_two_step_stack", lambda ps, *a: stacks.append(len(ps)) or real(ps, *a))
-    fit_vma(panels[0], 2)
-    first = fit_vma(panels[0], 1)
-    assert stacks == [1, 4] and group._panels is None
-    _assert_same_report(fit_vma(panels[0], 1), first)
-    assert stacks == [1, 4, 1]
+def test_grouped_varma_fits_keep_their_warnings():
+    # in groups of five each unstable member warns at its turn, from spectralgc.experiments,
+    # as it does alone; the public fit_varma attributes its warning to its caller
+    model, seeds = _pole_model(), (12, 13, 14, 15, 16, 27, 28, 29, 30, 31)
+    spec = ExperimentSpec(n_samples=1024, methods=("varma",), orders=(2, 2))
+
+    def warnings_of(rs):
+        fields, caught = experiments._realization_fields(model, spec, ("varma",), None, (2, 2), rs)
+        return [w for w in caught if w[0] is not UserWarning or "not stable" in w[1]]
+
+    for group in (seeds[:5], seeds[5:]):
+        got = warnings_of(group)
+        assert [(category, message, module) for category, message, _, _, module in got] == [
+            (UserWarning, "fitted VARMA autoregressive part is not stable", "spectralgc.experiments")
+        ]
+        assert got == [w for r in group for w in warnings_of([r])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for k, seed in enumerate(seeds):
+            n = len(caught)
+            fit_varma(simulate(model, 1024, seed=seed), 2, 2)
+            caught[n:] = [(k, w.category, w.filename) for w in caught[n:]]
+    assert caught == [(k, UserWarning, __file__) for k in (2, 7)]
 
 
 def test_guard_stack_members_match_lone_guards():
@@ -913,25 +896,29 @@ def test_guard_stack_members_match_lone_guards():
     parts = []
     for seed in range(56000, 56008):
         panel = simulate(example_model(1), 1024, seed=seed)
-        parts.append(estimators._regress_two_step(panel, 0, 1, estimators.DEFAULT_LONG_AR_ORDER)[1:])
-    for (ma, sigma), (got_ma, got_sigma) in zip(parts, estimators._minimum_phase_stack(parts)):
-        want_ma, want_sigma = estimators._ensure_minimum_phase(ma, sigma)
+        eps = _residuals(panel, estimators.DEFAULT_LONG_AR_ORDER)
+        parts.append(estimators._regress_two_step(panel.data, eps, 0, 1)[1:])
+    for part, (got_ma, got_sigma) in zip(parts, estimators._minimum_phase_stack(parts)):
+        ((want_ma, want_sigma),) = estimators._minimum_phase_stack([part])
         assert np.array_equal(got_ma, want_ma) and np.array_equal(got_sigma, want_sigma)
 
 
 def test_concurrent_fits_of_one_two_step_group():
-    # every member fitted from its own thread: one group stack, each member its lone report
+    # eight threads fit one group of eight at once: each call swaps in its own Wilson stack,
+    # and every member gets its lone report
     panels = [simulate(example_model(1), 1024, seed=s) for s in range(56000, 56008)]
-    _two_step_groups(panels, 8, [(0, 1, estimators.DEFAULT_LONG_AR_ORDER)])
-    got = [None] * len(panels)
+    got = [None] * 8
 
     def fit(k):
-        got[k] = fit_vma(panels[k], 1)
+        got[k] = estimators._fit_group(panels, [VMA1])
 
-    threads = [threading.Thread(target=fit, args=(k,)) for k in range(len(panels))]
+    threads = [threading.Thread(target=fit, args=(k,)) for k in range(8)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    for panel, report in zip(panels, got):
-        _assert_same_report(report, fit_vma(_fresh(panel), 1))
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    for panel, *outcomes in zip(panels, *got):
+        want = fit_vma(panel, 1)
+        for own in outcomes:
+            _assert_same_report(own[VMA1], want)

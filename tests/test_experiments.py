@@ -293,26 +293,22 @@ def test_process_pool_is_clamped_to_the_work(tmp_path, monkeypatch):
 
 
 def test_realization_retains_no_panel(monkeypatch):
-    # the panels, and with them their lattice and two-step groups, die when the realizations return
+    # the panels, and every report or error fitted to them, die when the realizations return
     refs = []
-    real_join, real_join_two_step = experiments._join_lattice, experiments._join_two_step
+    real_fit_group = experiments._fit_group
 
-    def tracking_join(panels, depth):
-        real_join(panels, depth)
+    def tracking_fit_group(panels, fits):
+        outcomes = real_fit_group(panels, fits)
         refs.extend(weakref.ref(panel) for panel in panels)
-        refs.append(weakref.ref(panels[0]._memo["lattice"][0]))
+        refs.extend(weakref.ref(outcome) for own in outcomes for outcome in own.values())
+        return outcomes
 
-    def tracking_join_two_step(panels, fits):
-        real_join_two_step(panels, fits)
-        refs.append(weakref.ref(panels[0]._memo["two_step"][0]))
-
-    monkeypatch.setattr(experiments, "_join_lattice", tracking_join)
-    monkeypatch.setattr(experiments, "_join_two_step", tracking_join_two_step)
+    monkeypatch.setattr(experiments, "_fit_group", tracking_fit_group)
     spec = ExperimentSpec(example_id=2, n_samples=1024, n_realizations=2, segment_len=128)
     model = example_model(2)
     methods, vma_q, varma_pq = experiments._resolve_methods_and_orders(spec, model)
     fields, caught = experiments._realization_fields(model, spec, methods, vma_q, varma_pq, [0, 1])
-    assert len(refs) == 4 and all(ref() is None for ref in refs)
+    assert len(refs) == 2 + 2 * 3 and all(ref() is None for ref in refs)
     assert len(fields) == 2 and all(set(f[0]) == set(methods) for f in fields)
     assert caught == []
 
@@ -335,12 +331,14 @@ def test_bundle_does_not_depend_on_the_group_size(tmp_path, monkeypatch, example
 @pytest.mark.parametrize("var_seed, wn_seed", [(1, 3), (3, 1)])
 def test_group_raises_its_first_error_in_realization_order(monkeypatch, var_seed, wn_seed):
     # a Welch + Wilson error is held until its realization's turn, as alone
-    real_fit_var, real_welch = experiments.fit_var, experiments.welch_cross_spectrum
+    real_fit_group, real_welch = experiments._fit_group, experiments.welch_cross_spectrum
 
-    def failing_fit_var(panel):
-        if panel.meta["seed"] == var_seed:
-            raise NumericalError(f"var of seed {var_seed}")
-        return real_fit_var(panel)
+    def failing_fit_group(panels, fits):
+        outcomes = real_fit_group(panels, fits)
+        for panel, own in zip(panels, outcomes):
+            if panel.meta["seed"] == var_seed:
+                own[("var", experiments.DEFAULT_VAR_P_MAX)] = NumericalError(f"var of seed {var_seed}")
+        return outcomes
 
     def failing_welch(panel, segment_len):
         spectrum = real_welch(panel, segment_len=segment_len)
@@ -348,7 +346,7 @@ def test_group_raises_its_first_error_in_realization_order(monkeypatch, var_seed
             spectrum.values[:, 0, 0] *= -1.0  # indefinite
         return spectrum
 
-    monkeypatch.setattr(experiments, "fit_var", failing_fit_var)
+    monkeypatch.setattr(experiments, "_fit_group", failing_fit_group)
     monkeypatch.setattr(experiments, "welch_cross_spectrum", failing_welch)
     spec = ExperimentSpec(example_id=1, n_samples=1024, n_realizations=5, segment_len=128)
     model = example_model(1)
@@ -434,17 +432,17 @@ def test_failed_references_cancel_the_groups_not_started(tmp_path, monkeypatch):
     # 16 groups; the references fail while the first groups run, and only the
     # groups already handed to a worker run to their end
     calls = tmp_path / "calls"
-    real_join = experiments._join_lattice
+    real_fit_group = experiments._fit_group
 
-    def counting_join(panels, depth):  # once per _realization_fields call, in the worker
+    def counting_fit_group(panels, fits):  # once per _realization_fields call, in the worker
         with open(calls, "a") as fh:
             fh.write("x")
-        real_join(panels, depth)
+        return real_fit_group(panels, fits)
 
     def failing_references(model, spec):
         raise NumericalError("references failed")
 
-    monkeypatch.setattr(experiments, "_join_lattice", counting_join)
+    monkeypatch.setattr(experiments, "_fit_group", counting_fit_group)
     monkeypatch.setattr(experiments, "_reference_fields", failing_references)
     with pytest.raises(NumericalError, match="references failed"):
         run_example(_spec(tmp_path, example_id=1, n_realizations=16 * _group_size(1), n_jobs=2))
@@ -456,14 +454,15 @@ def test_failed_references_cancel_the_groups_not_started(tmp_path, monkeypatch):
 
 def _warnings_of_serial_and_pooled_runs(tmp_path, monkeypatch, ignored_module=None):
     """``(category, message)`` of the warnings that reach the caller of example 2 runs, by n_jobs."""
-    real_fit_varma = experiments.fit_varma
+    real_fit_group = experiments._fit_group
 
-    def warning_fit_varma(panel, p, q):
+    def warning_fit_group(panels, fits):
         # attributed to the caller, spectralgc.experiments, as the fits' own warnings are
-        warnings.warn(f"VARMA fit of seed {panel.meta['seed']}", UserWarning, stacklevel=2)
-        return real_fit_varma(panel, p, q)
+        for panel in panels:
+            warnings.warn(f"VARMA fit of seed {panel.meta['seed']}", UserWarning, stacklevel=2)
+        return real_fit_group(panels, fits)
 
-    monkeypatch.setattr(experiments, "fit_varma", warning_fit_varma)
+    monkeypatch.setattr(experiments, "_fit_group", warning_fit_group)
     recorded = {}
     for n_jobs in (1, 2):
         # example 2 at n_s = 1024 runs a group and a short one of two

@@ -168,10 +168,9 @@ def test_panel_copies_its_source():
 def test_panel_pickles_after_a_fit():
     panel = simulate(example_model(2), 1024, seed=6)
     report = fit_var(panel, p_max=5)
-    assert panel._memo
     clone = pickle.loads(pickle.dumps(panel))
     assert np.array_equal(clone.data, panel.data) and clone.meta == panel.meta
-    assert clone._memo == {} and not clone.data.flags.writeable
+    assert not clone.data.flags.writeable
     assert np.array_equal(fit_var(clone, p_max=5).model.ar_blocks, report.model.ar_blocks)
 
 

@@ -131,3 +131,20 @@ def test_panel_shorter_than_segment_rejected():
         with pytest.raises(ConfigError, match="even integer >= 4"):
             welch_cross_spectrum(TimeSeriesPanel(np.zeros((2, 1000))), segment_len=odd_or_short)
 
+
+
+@pytest.mark.parametrize(
+    "n, n_samples, segment_len",
+    [(3, 300, 256), (3, 511, 256), (2, 16, 16), (7, 1023, 256)],
+)
+def test_fewer_segments_than_channels_rejected(n, n_samples, segment_len):
+    # K segments give an estimate of rank <= K at every frequency, which Wilson cannot factor
+    rng = np.random.default_rng(n_samples)
+    n_seg = (n_samples - segment_len) // (segment_len // 2) + 1
+    assert n_seg < n
+    with pytest.raises(ConfigError, match=f"{n_seg} segment\\(s\\) of {segment_len}: fewer than its {n} channels"):
+        welch_cross_spectrum(TimeSeriesPanel(rng.standard_normal((n, n_samples))), segment_len=segment_len)
+    # as many segments as channels is enough
+    x = rng.standard_normal((n, segment_len + (n - 1) * (segment_len // 2)))
+    S = welch_cross_spectrum(TimeSeriesPanel(x), segment_len=segment_len)
+    assert np.min(np.linalg.eigvalsh(S.values)) > 0

@@ -7,6 +7,12 @@
   provides innovation estimates ``eps(n)``; the MA (and AR) blocks are
   then regressed with the zero-lag MA block pinned to the identity.
 
+Both read the samples only through their lag products ``C_k = Σ_s
+x(s + k) x(s)ᵀ`` and the windows at the record's two edges.  The lattice
+stages are computed from them, and the normal equations of the
+regression and its innovation covariance are fixed linear maps of them,
+so no residual or regressor sequence is formed.
+
 Fitted MA parts are steered toward minimum phase: if the two-step
 regression lands outside the invertibility region (which happens when
 the generator itself is nonminimum-phase), the MA polynomial is replaced
@@ -16,11 +22,12 @@ next to the unit circle and can leave a zero outside it (see
 :func:`_minimum_phase_stack`).
 
 Every fit is made by :func:`_fit_group`, one direct call for a group of
-equal-shaped panels and a list of fits: one batched Nuttall-Strand
-lattice, each panel's long-VAR residuals once, and one minimum-phase
-stack per two-step fit.  It returns each panel's report or error per
-fit, bit-identical to what that panel gets alone.  The public fits are
-groups of one; nothing is kept between calls.
+equal-shaped panels and a list of fits: one set of lag products and edge
+windows, up to the deepest lag any fit reads, which feeds one batched
+Nuttall-Strand lattice and every two-step regression, and one
+minimum-phase stack per two-step fit.  It returns each panel's report or
+error per fit, bit-identical to what that panel gets alone.  The public
+fits are groups of one; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ import numpy as np
 from . import wilson
 from .errors import ConfigError, DegeneratePanelError, NumericalError
 from .models import (
-    BLOCK_BYTES,
     COND_LIMIT,
     FrequencyGrid,
     SpectralMatrix,
@@ -109,10 +115,36 @@ def _edge_windows(x: np.ndarray, cap: int) -> np.ndarray:
     return windows.transpose(0, 4, 1, 2, 3).reshape(r, (cap + 1) * n, 2 * cap)
 
 
-def _lattice_stages(x: np.ndarray, cap: int):
+def _lag_products(x: np.ndarray, depth: int):
+    """``(lags, edges)``, the lag products and edge windows of stacked panels ``x`` up to lag ``M``.
+
+    ``x`` is ``(R, N, n_samp)`` and ``M = min(depth, n_samp - 1)``.  ``lags``
+    is the ``(R, (2 M + 1) N, N)`` lag column: block ``M - k`` holds the
+    full-range lag product ``C_k = Σ_s x(s + k) x(s)ᵀ`` for ``k = -M..M``
+    (``C_{-k} = C_kᵀ``), so ``[C_j; C_{j-1}; ...; C_{j-m}]`` is one slice of
+    it for any ``0 <= j <= m <= M``.  ``edges`` is ``E`` for ``M``
+    (:func:`_edge_windows`).  They are a group's only passes over its
+    samples: the lattice (:func:`_lattice_stages`) and every two-step
+    regression (:func:`_regress_two_step`) read them.  Each ``C_k`` is one
+    matrix product per panel, so a panel's lag products are bit-identical
+    in any group.
+    """
+    r, n, n_samp = x.shape
+    cap = min(depth, n_samp - 1)  # C_k needs k < n_samp; a negative slice stop would wrap
+    lags = np.empty((r, (2 * cap + 1) * n, n))
+    lags[:, cap * n : (cap + 1) * n] = x @ x.swapaxes(1, 2)
+    for k in range(1, cap + 1):
+        lag = lags[:, (cap - k) * n : (cap - k + 1) * n]
+        np.matmul(x[:, :, k:], x[:, :, : n_samp - k].swapaxes(1, 2), out=lag)
+        lags[:, (cap + k) * n : (cap + k + 1) * n] = lag.swapaxes(1, 2)
+    return lags, _edge_windows(x, cap)
+
+
+def _lattice_stages(lags: np.ndarray, edges: np.ndarray, n_samp: int):
     """Nuttall-Strand stages ``(ar_blocks, residual_cov)`` for p = 0, 1, 2, ..., lazily.
 
-    ``x`` stacks R equal-shaped panels as ``(R, N, n_samp)``; stage p is
+    ``lags`` and ``edges`` are the lag column and ``E`` of R equal-shaped
+    panels of ``n_samp`` samples (:func:`_lag_products`); stage p is
     ``ar_blocks`` of shape ``(R, p, N, N)`` and ``residual_cov`` of shape
     ``(R, N, N)``, panel i's lattice at index i.  Each stage solves the
     Sylvester equation expressing the harmonic-mean (Nuttall-Strand)
@@ -125,22 +157,19 @@ def _lattice_stages(x: np.ndarray, cap: int):
     ``W = [[I, -F_1, ..., -F_{m-1}, 0], [0, -B_{m-1}, ..., -B_1, I]]``, so
     the Gram of the errors, whose blocks are the three correlations, is
     ``W T Wᵀ - (W E)(W E)ᵀ``.  ``T`` is block Toeplitz with blocks
-    ``C_{j-i}``, the full-range lag products ``C_k = Σ_s x(s + k) x(s)ᵀ``
-    (``C_{-k} = C_kᵀ``), and ``E`` holds the zero-padded windows ``X(t)``
-    at ``t = 0..m-1`` and ``t = n_samp..n_samp+m-1`` that the full range
-    adds.  ``T`` is never formed, and ``E`` is built from the samples once
-    (see :func:`_edge_windows`), so ``W E`` is one product on a view of it.
+    ``C_{j-i}``, and ``E`` holds the zero-padded windows ``X(t)`` at
+    ``t = 0..m-1`` and ``t = n_samp..n_samp+m-1`` that the full range adds.
+    ``T`` is never formed, and ``W E`` is one product on a corner of ``E``.
     ``W T`` is carried along with ``W``: the update ``[[I, -A_m], [-B_m, I]]``
     maps both to the next order, and each row gains one block,
     ``[I, -A_m] W`` times ``[C_{m+1}; ...; C_1]`` and ``[-B_m, I] W`` times
-    ``[C_1ᵀ; ...; C_{m+1}ᵀ]``.  The lag product is the only pass over the
-    samples, so a stage costs O(N² n_samp + m N³ + m² N²) where filtering
+    ``[C_1ᵀ; ...; C_{m+1}ᵀ]``, both slices of the lag column.  A stage makes
+    no pass over the samples, so it costs O(m N³ + m² N²) where filtering
     the data would take three O(N² n_samp) products.  ``W`` and ``W T``
     share a buffer pair, the backward row one block to the right of the
-    forward row.  The operators hold orders up to a capacity, ``cap``; when
-    a stage passes it, the capacity doubles and ``E`` is rebuilt for it.
-    The capacity changes the buffers' sizes, not a stage's values.
-    The AR blocks are read off the forward filter.
+    forward row, sized once for the order ``M`` of the lag products; a
+    stage past order ``n_samp - 1`` raises ``NumericalError``.  The AR
+    blocks are read off the forward filter.
 
     At N = 2-3 a stage's cost is the number of numpy calls, not
     arithmetic, so every call runs once for all R panels and for both
@@ -154,35 +183,24 @@ def _lattice_stages(x: np.ndarray, cap: int):
     1 BLAS thread) took 239 ms one by one, 76 ms in groups of four and
     27 ms as one group.  A group of one is the lone panel.
     """
-    r, n, n_samp = x.shape
+    r, rows, n = lags.shape
+    cap = rows // (2 * n)
     eye = np.eye(n)
     update = np.tile(np.eye(2 * n), (r, 1, 1))  # [[I, -A_m], [-B_m, I]] per panel
-    c0 = x @ x.swapaxes(1, 2)
+    c0 = lags[:, cap * n : (cap + 1) * n]
     P = np.broadcast_to((c0 / n_samp)[:, None], (r, 2, n, n)).copy()
     yield np.zeros((r, 0, n, n)), P[:, 0]
-    lags = np.zeros((r, (2 * cap + 1) * n, n))  # C_k in block cap - k, for k = -cap..cap
-    lags[:, cap * n : (cap + 1) * n] = c0
     # [W, W T] per panel, twice: the pair axis leads, so matmul writes in place
     filters = np.zeros((2, r, 2, 2 * n, (cap + 2) * n))
     filters[0, :, 0, :n, :n] = filters[0, :, 0, n:, n : 2 * n] = eye
     filters[0, :, 1, :n, :n] = filters[0, :, 1, n:, n : 2 * n] = c0
-    edges = _edge_windows(x, cap)
     m = 0
     while True:
         m += 1
         if m >= n_samp:
-            # the lag product C_m needs m < n_samp; a negative slice stop would wrap
             raise NumericalError(f"Nuttall-Strand stage {m} is past order n_s - 1 = {n_samp - 1}")
-        if m > cap:
-            lags = np.pad(lags, ((0, 0), (cap * n, cap * n), (0, 0)))
-            filters = np.pad(filters, ((0, 0),) * 4 + ((0, cap * n),))
-            cap *= 2
-            edges = _edge_windows(x, cap)
         width = (m + 1) * n
         w, wt = filters[(m - 1) % 2, :, 0], filters[(m - 1) % 2, :, 1]
-        lag = lags[:, (cap - m) * n : (cap - m + 1) * n]
-        np.matmul(x[:, :, m:], x[:, :, : n_samp - m].swapaxes(1, 2), out=lag)  # C_m
-        lags[:, (cap + m) * n : (cap + m + 1) * n] = lag.swapaxes(1, 2)
         # the blocks W T gains at order m: its last forward one and its first backward one
         np.matmul(w[:, :n, : m * n], lags[:, (cap - m) * n : cap * n], out=wt[:, :n, m * n : width])
         np.matmul(w[:, n:, n:width], lags[:, (cap + 1) * n : (cap + m + 1) * n], out=wt[:, n:, :n])
@@ -204,32 +222,30 @@ def _lattice_stages(x: np.ndarray, cap: int):
         yield -filters[m % 2, :, 0, :n, n:width].reshape(r, n, m, n).swapaxes(1, 2), P[:, 0]
 
 
-def _lattice_run(data, depth: int) -> list:
+def _lattice_run(lags: np.ndarray, edges: np.ndarray, n_samp: int, depth: int) -> list:
     """Each panel's stages ``[(ar_blocks, residual_cov)]`` for p = 0..depth, and its error or None.
 
-    ``data`` lists equal-shaped ``(N, n_s)`` sample arrays, which run as
-    one batched lattice (:func:`_lattice_stages`) with operators sized for
-    ``depth``, up to a capacity of 64.  The lattice is closed once it gets
-    there, which frees the stacked data, the edge windows ``E``, the filter
-    pair and the lag products (about ``520 N² + 5100 N`` doubles a panel at
-    depth 50, 98 KB at N = 2); only the stages stay.  A panel's stages are
-    bit-identical in any group.  If a stacked stage raises
-    ``NumericalError``, each panel reruns on a lattice of its own, and a
-    panel whose own stage fails keeps the stages it reached, with that
-    error.  Any other exception propagates.
+    ``lags`` and ``edges`` are those of a group (:func:`_lag_products`),
+    whose panels run as one batched lattice (:func:`_lattice_stages`).  The
+    lattice is closed once it gets to ``depth``, which frees its filter
+    pair; only the stages stay, and the caller's lag products are left as
+    they are.  A panel's stages are bit-identical in any group.  If a
+    stacked stage raises ``NumericalError``, each panel reruns on a lattice
+    of its own, over its own slice of ``lags`` and ``edges``, and a panel
+    whose own stage fails keeps the stages it reached, with that error.
+    Any other exception propagates.
     """
-    stages = [[] for _ in data]
-    # a lone panel is viewed, not copied; Monte Carlo runs group only short panels
-    lattice = _lattice_stages(np.stack(data) if len(data) > 1 else data[0][None], min(depth, 64))
+    stages = [[] for _ in lags]
+    lattice = _lattice_stages(lags, edges, n_samp)
     try:
         for _ in range(depth + 1):
             ar, cov = next(lattice)
             for own, ar_i, cov_i in zip(stages, ar, cov):
                 own.append((ar_i, cov_i))
     except NumericalError as exc:
-        if len(data) == 1:
+        if len(lags) == 1:
             return [(stages[0], exc)]
-        return [_lattice_run([x], depth)[0] for x in data]
+        return [_lattice_run(lags[k : k + 1], edges[k : k + 1], n_samp, depth)[0] for k in range(len(lags))]
     finally:
         lattice.close()
     return [(own, None) for own in stages]
@@ -268,15 +284,6 @@ def _select_var(stages, n_samples: int) -> FitReport:
     p_hat = _hq_argmin(values)
     ar, sigma = stages[p_hat]
     return FitReport(VarmaModel(np.array(ar), np.eye(n)[None], sigma), (p_hat, 0), values)
-
-
-def _long_var_residuals(x: np.ndarray, ar: np.ndarray) -> np.ndarray:
-    """Prewhitening residuals ``eps(n) = x(n) - Σ_r A_r x(n - r)`` for n >= P, of the VAR(P) ``ar``."""
-    order = ar.shape[0]
-    eps = x[:, order:].copy()
-    for r in range(1, order + 1):
-        eps -= ar[r - 1] @ x[:, order - r : x.shape[1] - r]
-    return eps
 
 
 def _minimum_phase_stack(parts) -> list:
@@ -332,56 +339,65 @@ def _minimum_phase_stack(parts) -> list:
     return out
 
 
-def _normal_equations(x: np.ndarray, eps: np.ndarray, p: int, q: int):
-    """``(Z Zᵀ, Z Yᵀ)`` of the two-step regression ``Y ~ C Z`` over ``t >= t0``.
+def _two_step_gram(lags: np.ndarray, edges: np.ndarray, long_ar: np.ndarray, n_samp: int, p: int, q: int):
+    """``(Z Zᵀ, Z Yᵀ, Σ)``: the normal equations and innovation covariance of a two-step VARMA(p, q) fit.
 
-    Column ``t`` of ``Z`` stacks ``x(t - 1..p)`` and ``eps(t - 1..q)``, and
-    ``Y(t) = x(t) - eps(t)``; ``eps`` is the long-VAR residual sequence,
-    which starts ``off = n_s - len(eps)`` samples into ``x``, and ``t0 = off
-    + max(p, q)`` is the first sample where every lag exists.
+    ``lags`` and ``edges`` are one panel's lag column and ``E``
+    (:func:`_lag_products`), up to lag ``M = P + max(p, q)`` or deeper, and
+    ``long_ar`` holds the AR blocks of the long VAR(P), whose residuals
+    ``eps(t) = Σ_r Φ_r x(t - r)`` (``Φ_0 = I``, ``Φ_r = -A_r``) stand in for
+    the innovations.  The regression is ``Y(t) = x(t) - eps(t) ~ C Z(t)``,
+    with ``Z(t)`` the lags ``x(t - 1..p)`` and ``eps(t - 1..q)``, over the
+    samples ``M <= t < n_samp`` where every lag exists; ``Σ`` is the mean of
+    ``eps(t) eps(t)ᵀ`` over ``P <= t < n_samp``.
 
-    Both products are accumulated over blocks of ``max(1, BLOCK_BYTES //
-    (8 N (p + q)))`` samples, so the regressors held at once stay within
-    ``BLOCK_BYTES`` (256 KiB) whatever the panel length: the first block
-    assigns both products and each later block adds to them.  A window
-    that fits in one block (the VMA(1) fits of example 1 at any n_s up to
-    16384) gives products bit-identical to one product over the whole
-    window; across blocks only the summation order changes.
+    No residual or regressor sequence is formed.  ``Z(t)``, ``Y(t)`` and
+    ``eps(t)`` are one fixed linear map ``Ψ`` of ``X(t) = [x(t); ...;
+    x(t - M)]``, and ``S = Σ_{t >= M} X(t) X(t)ᵀ = T - E Eᵀ`` with ``T`` and
+    ``E`` of order ``M`` as in :func:`_lattice_stages` (the head windows of
+    ``E`` are exactly ``t < M``).  So ``Z Zᵀ``, ``Z Yᵀ`` and the residual Gram
+    over ``t >= M`` are blocks of ``Ψ S Ψᵀ = (Ψ T) Ψᵀ - (Ψ E)(Ψ E)ᵀ``, and
+    ``Σ`` adds back the head windows ``P <= t < M``, which are columns of
+    ``Ψ E``.  ``T`` is never formed: block column j of ``Ψ T`` is ``Ψ`` times
+    the slice ``[C_j; ...; C_{j-M}]`` of the lag column.  The work does not
+    grow with ``n_samp``.
+
+    The Gram is a difference of sums over the whole record, so it loses
+    digits as the residuals' energy falls below the data's.  Against
+    products over the window (the reference in ``tests/reference_impl.py``)
+    the normal equations and ``Σ`` of random stable panels deviated by at
+    most 1.6e-13 times the ratio ``tr(C_0 / n_samp) / tr(Σ)`` at n_s = 16384,
+    and 6.9e-13 times it on the shortest panels the fits accept.
     """
-    n, n_samp = x.shape
-    off = n_samp - eps.shape[1]
-    t0 = off + max(p, q)
-    step = max(1, BLOCK_BYTES // (8 * n * (p + q)))
-    for a in range(t0, n_samp, step):
-        b = min(a + step, n_samp)
-        Y = x[:, a:b] - eps[:, a - off : b - off]
-        blocks = [x[:, a - r : b - r] for r in range(1, p + 1)]
-        blocks += [eps[:, a - off - s : b - off - s] for s in range(1, q + 1)]
-        Z = np.concatenate(blocks, axis=0)
-        if a == t0:
-            ZZt, ZYt = Z @ Z.T, Z @ Y.T
-        else:
-            ZZt += Z @ Z.T
-            ZYt += Z @ Y.T
-    return ZZt, ZYt
+    (order, n, _), depth = long_ar.shape, long_ar.shape[0] + max(p, q)
+    width, cap, k = (depth + 1) * n, lags.shape[0] // (2 * n), (p + q) * n
+    phi = np.concatenate([np.eye(n)[None], -long_ar]).transpose(1, 0, 2)  # [Φ_0, ..., Φ_P] side by side
+    psi = np.zeros((p + q + 2, n, depth + 1, n))  # rows Z(t), Y(t), eps(t); column block j reads x(t - j)
+    for r in range(1, p + 1):
+        psi[r - 1, :, r] = np.eye(n)
+    for s in range(1, q + 1):
+        psi[p + s - 1, :, s : s + order + 1] = phi
+    psi[p + q, :, 1 : order + 1] = -phi[:, 1:]
+    psi[p + q + 1, :, : order + 1] = phi
+    psi = psi.reshape(-1, width)
+    # window i of the lag column starts at its row i; block column j of T is the window at (cap - j) N
+    windows = np.lib.stride_tricks.sliding_window_view(lags, width, axis=0)
+    columns = windows[(cap - depth) * n : cap * n + 1 : n][::-1].swapaxes(1, 2)
+    psi_t = (psi @ columns).transpose(1, 0, 2).reshape(-1, width)  # Ψ T
+    psi_e = psi @ edges[:width, : 2 * depth]  # Ψ E
+    g = psi_t @ psi.T - psi_e @ psi_e.T  # Ψ S Ψᵀ
+    head = psi_e[-n:, 2 * order : 2 * depth : 2]  # eps(t) for P <= t < M
+    sigma = (g[-n:, -n:] + head @ head.T) / (n_samp - order)
+    return g[:k, :k], g[:k, k : k + n], 0.5 * (sigma + sigma.T)
 
 
-def _regress_two_step(x: np.ndarray, eps: np.ndarray, p: int, q: int):
-    """``(ar, ma, sigma)`` of the two-step VARMA(p, q) regression of the samples ``x``, before the guard.
+def _regress_two_step(lags: np.ndarray, edges: np.ndarray, long_ar: np.ndarray, n_samp: int, p: int, q: int):
+    """``(ar, ma, sigma)`` of one panel's two-step VARMA(p, q) fit, before the guard (:func:`_two_step_gram`).
 
-    Least squares ``x(n) - eps(n) ~ C z(n)``, with ``z(n)`` the lags
-    ``x(n - 1..p)`` and ``eps(n - 1..q)`` (AR blocks first in ``C``), over
-    the samples where every lag exists; ``eps`` are the long-VAR
-    residuals (:func:`_long_var_residuals`).  The normal equations come
-    from :func:`_normal_equations`, in blocks of ``BLOCK_BYTES`` (256 KiB)
-    of regressors.  A window that fits in one block gives a fit
-    bit-identical to one product over the whole window.  On example 2 at
-    n_s = 16384, where the fits take several blocks, the mean tPDC MSEs of
-    8 runs of 4 realizations moved from those of a one-product fit by at
-    most 1.1e-13 relative for VARMA(2, 2) and 4.1e-15 for VMA(20).
+    ``C = [A_1, ..., A_p, B_1, ..., B_q]`` solves the normal equations.
     """
-    n = x.shape[0]
-    ZZt, ZYt = _normal_equations(x, eps, p, q)
+    n = long_ar.shape[1]
+    ZZt, ZYt, sigma = _two_step_gram(lags, edges, long_ar, n_samp, p, q)
     if np.linalg.cond(ZZt) > COND_LIMIT:
         raise NumericalError("regressor matrix is numerically rank deficient")
     C = np.linalg.solve(ZZt, ZYt).T
@@ -389,24 +405,23 @@ def _regress_two_step(x: np.ndarray, eps: np.ndarray, p: int, q: int):
     ma = np.concatenate(
         [np.eye(n)[None], C[:, p * n :].reshape(n, q, n).transpose(1, 0, 2)], axis=0
     )
-    sigma = eps @ eps.T / eps.shape[1]
-    return ar, ma, 0.5 * (sigma + sigma.T)
+    return ar, ma, sigma
 
 
-def _lattice_order(fit, n_channels: int, n_samples: int) -> int:
-    """The deepest lattice order ``fit`` reads; ``ConfigError`` if ``n_samples`` are too few for it."""
+def _fit_depths(fit, n_channels: int, n_samples: int):
+    """``(order, lag)``, the lattice order and deepest lag ``fit`` reads; ``ConfigError`` if too few samples."""
     if fit[0] == "var":
         p_max = fit[1]
         if n_samples <= n_channels * p_max + 1:
             raise ConfigError(
                 f"need more than {n_channels * p_max + 1} samples to sweep VAR orders up to {p_max}"
             )
-        return p_max
+        return p_max, p_max
     _, p, q, long_ar_order = fit
     if n_samples < 4 * (long_ar_order + max(p, q)):
         orders = f"q={q}" if p == 0 else f"orders ({p}, {q})"
         raise ConfigError(f"panel too short for long_ar_order={long_ar_order} and {orders}")
-    return long_ar_order
+    return long_ar_order, long_ar_order + max(p, q)
 
 
 def _fit_group(panels, fits) -> list:
@@ -416,23 +431,26 @@ def _fit_group(panels, fits) -> list:
     ``("two_step", p, q, long_ar_order)``, that of :func:`fit_varma`
     (``p = 0`` is :func:`fit_vma`'s).  An outcome is the fit's ``FitReport``,
     or the ``Exception`` the panel's lone fit raises; every outcome is the
-    one that panel gets alone, bit for bit.
+    one that panel gets alone, bit for bit.  Each dict holds the fits in
+    the order of ``fits``.
 
     1. A panel that fails :func:`_check_panel` takes that error for every
        fit; a fit that needs more samples than the panels have gives each
        of them its ``ConfigError``.  Neither runs any further.
-    2. The other panels run one lattice (:func:`_lattice_run`) up to the
-       deepest order their fits read; a stage that fails takes only its
-       own panel's fits past it.
-    3. Each panel's long-VAR residuals are computed once per long AR
-       order and shared by its two-step fits.
-    4. Each two-step fit regresses every panel on its own and swaps the
-       MA parts that need it in one minimum-phase stack
+    2. The other panels' lag products and edge windows are computed once
+       (:func:`_lag_products`), up to the deepest lag any fit reads, and
+       run one lattice (:func:`_lattice_run`) up to the deepest order the
+       fits read; a stage that fails takes only its own panel's fits past
+       it.
+    3. Each two-step fit regresses every panel on its own, from the same
+       lag products and the lattice's long VAR (:func:`_regress_two_step`).
+       The lag products are then freed, and each two-step fit swaps the MA
+       parts that need it in one minimum-phase stack
        (:func:`_minimum_phase_stack`).
 
     Only an ``Exception`` is kept; a ``KeyboardInterrupt`` propagates.
     """
-    outcomes = [{} for _ in panels]
+    outcomes = [dict.fromkeys(fits) for _ in panels]
     valid = []
     for k, panel in enumerate(panels):
         try:
@@ -442,36 +460,39 @@ def _fit_group(panels, fits) -> list:
             outcomes[k] = dict.fromkeys(fits, exc)
     if not valid:
         return outcomes
-    orders = {}
+    depths = {}
     for fit in fits:
         try:
-            orders[fit] = _lattice_order(fit, *panels[valid[0]].data.shape)
+            depths[fit] = _fit_depths(fit, *panels[valid[0]].data.shape)
         except ConfigError as exc:
             for k in valid:
                 outcomes[k][fit] = exc
-    if not orders:
+    if not depths:
         return outcomes
 
     data = [panels[k].data for k in valid]
-    lattices = _lattice_run(data, max(orders.values()))
-    residuals = {}  # (panel, long AR order) -> eps
-    for fit, order in orders.items():
-        parts = {}  # panel -> (ar, ma, sigma) of a two-step fit, before the guard
-        for k, x, (stages, error) in zip(valid, data, lattices):
+    n_samp = data[0].shape[1]
+    orders, lag_depths = zip(*depths.values())
+    # a lone panel is viewed, not copied; Monte Carlo runs group only short panels
+    lags, edges = _lag_products(np.stack(data) if len(data) > 1 else data[0][None], max(lag_depths))
+    lattices = _lattice_run(lags, edges, n_samp, max(orders))
+    parts = {fit: {} for fit in depths if fit[0] == "two_step"}  # panel -> (ar, ma, sigma), before the guard
+    for fit, (order, _) in depths.items():
+        for i, (k, (stages, error)) in enumerate(zip(valid, lattices)):
             if len(stages) <= order:
                 outcomes[k][fit] = error
                 continue
             try:
                 if fit[0] == "var":
-                    outcomes[k][fit] = _select_var(stages[: order + 1], x.shape[1])
-                    continue
-                if (k, order) not in residuals:
-                    residuals[k, order] = _long_var_residuals(x, stages[order][0])
-                parts[k] = _regress_two_step(x, residuals[k, order], *fit[1:3])
+                    outcomes[k][fit] = _select_var(stages[: order + 1], n_samp)
+                else:
+                    parts[fit][k] = _regress_two_step(lags[i], edges[i], stages[order][0], n_samp, *fit[1:3])
             except Exception as exc:
                 outcomes[k][fit] = exc
-        guarded = _minimum_phase_stack([part[1:] for part in parts.values()])
-        for (k, part), result in zip(parts.items(), guarded):
+    del lags, edges
+    for fit, own in parts.items():
+        guarded = _minimum_phase_stack([part[1:] for part in own.values()])
+        for (k, part), result in zip(own.items(), guarded):
             try:
                 outcomes[k][fit] = result if isinstance(result, Exception) else FitReport(
                     VarmaModel(part[0], *result), fit[1:3], []
@@ -510,8 +531,8 @@ def fit_vma(panel: TimeSeriesPanel, q: int, long_ar_order: int = DEFAULT_LONG_AR
     eps(n - s)`` over the sample range where every lag exists.  The
     innovation covariance is the sample covariance of the residuals.
     """
-    if q < 1:
-        raise ConfigError(f"q must be a positive integer, got {q}")
+    if q < 1 or long_ar_order < 1:
+        raise ConfigError(f"q and long_ar_order must be positive integers, got {q} and {long_ar_order}")
     return _fit_one(panel, ("two_step", 0, q, long_ar_order))
 
 
@@ -525,8 +546,8 @@ def fit_varma(
     ``n >= long_ar_order + p``, and ``Σ`` is the covariance of the long-VAR
     residuals ``eps``.
     """
-    if p < 1 or q < 0:
-        raise ConfigError(f"orders must satisfy p >= 1 and q >= 0, got ({p}, {q})")
+    if p < 1 or q < 0 or long_ar_order < 1:
+        raise ConfigError(f"need p >= 1, q >= 0 and long_ar_order >= 1, got ({p}, {q}) and {long_ar_order}")
     report = _fit_one(panel, ("two_step", p, q, long_ar_order))
     _warn_if_unstable(report, 2)
     return report

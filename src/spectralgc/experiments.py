@@ -18,12 +18,12 @@ reference evaluated there for scoring.  Total DTF is computed only for
 the fields that are written: realization 0 and the analyzed panel.
 Short realizations are simulated and fitted in groups, sized by
 :data:`LATTICE_GROUP_SAMPLES`: one call of ``estimators._fit_group``
-makes every parametric fit of a group, with one batched Nuttall-Strand
-lattice and one minimum-phase stack per VMA or VARMA fit, and one Wilson
-stack factors the group's Welch estimates (see :func:`_group_fields`).
-Each realization's results are bit-identical to fitting it alone, and a
-group is one task of the process pool.  A data panel is analyzed as a
-group of one.
+makes every parametric fit of a group from one set of lag products, with
+one batched Nuttall-Strand lattice and one minimum-phase stack per VMA or
+VARMA fit, and one Wilson stack factors the group's Welch estimates (see
+:func:`_group_fields`).  Each realization's results are bit-identical to
+fitting it alone, and a group is one task of the process pool.  A data
+panel is analyzed as a group of one.
 
 A run's serial work overlaps its pool: every group is submitted, then
 the parent computes the reference fields while the workers fit.  The

@@ -41,8 +41,8 @@ __all__ = [
 #: condition number above which a matrix is treated as singular and not solved with
 COND_LIMIT = 1e12
 
-#: bytes of float64 work one streamed block may hold: the regressors of a
-#: block of samples in the two-step fits, the segments of a Welch batch
+#: bytes of work one streamed block may hold: the segments of a Welch batch,
+#: the Python floats and text of a block of CSV table rows
 BLOCK_BYTES = 256 * 1024
 
 

@@ -389,6 +389,15 @@ def wilson_two_sided(S, tol=1e-6, max_iter=500):
     return H, sigma, iteration
 
 
+def long_var_residuals(x, ar):
+    """Residuals ``eps(t) = x(t) - sum_r A_r x(t - r)`` for ``t >= P`` of the VAR(P) ``ar``, one lag at a time."""
+    order, n_samp = ar.shape[0], x.shape[1]
+    eps = x[:, order:].copy()
+    for r in range(1, order + 1):
+        eps -= ar[r - 1] @ x[:, order - r : n_samp - r]
+    return eps
+
+
 def two_step_normal_equations(x, eps, p, q):
     """``(Z Zᵀ, Z Yᵀ)`` of the two-step regression, with the whole regressor matrix ``Z`` at once.
 

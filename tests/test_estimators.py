@@ -13,6 +13,7 @@ from spectralgc import (
     ConfigError,
     DegeneratePanelError,
     ExperimentSpec,
+    FitReport,
     FrequencyGrid,
     NonConvergenceError,
     NumericalError,
@@ -132,7 +133,8 @@ def test_varma_matches_var_when_q_zero():
 
 def test_varma_with_q_zero_is_a_regression_on_long_var_residuals():
     # not OLS VAR(p): the AR blocks regress x - eps on the p lags of x over
-    # t >= long_ar_order + p, and Σ is the covariance of the long-VAR residuals
+    # t >= long_ar_order + p, and Σ is the covariance of the long-VAR residuals;
+    # the fit forms both from lag products, so they agree to rounding
     panel, p, off = simulate(example_model(2), 4096, seed=46), 2, estimators.DEFAULT_LONG_AR_ORDER
     model = fit_varma(panel, p, 0).model
     x = panel.data
@@ -141,9 +143,10 @@ def test_varma_with_q_zero_is_a_regression_on_long_var_residuals():
     t0 = off + p
     Z = np.concatenate([x[:, t0 - r : n_samp - r] for r in range(1, p + 1)])
     C = np.linalg.solve(Z @ Z.T, Z @ (x[:, t0:] - eps[:, p:]).T).T
-    assert np.array_equal(model.ar_blocks, C.reshape(n, p, n).transpose(1, 0, 2))
+    want = C.reshape(n, p, n).transpose(1, 0, 2)
+    assert np.max(np.abs(model.ar_blocks - want)) <= 1e-12 * np.max(np.abs(want))
     sigma = eps @ eps.T / eps.shape[1]
-    assert np.array_equal(model.innovations_cov, 0.5 * (sigma + sigma.T))
+    assert np.max(np.abs(model.innovations_cov - sigma)) <= 1e-12 * np.max(np.abs(sigma))
     Z_ols = np.concatenate([x[:, p - r : n_samp - r] for r in range(1, p + 1)])
     C_ols = np.linalg.solve(Z_ols @ Z_ols.T, Z_ols @ x[:, p:].T).T
     assert np.max(np.abs(C - C_ols)) > 1e-3
@@ -224,9 +227,16 @@ def test_panel_too_short_rejected():
 
 
 def test_var_needs_positive_p_max():
-    # a configuration error (CLI exit 2), not a numerical failure
+    # a configuration error (CLI exit 2), not a numerical failure; so is a long AR order
+    # below 1, which would index the lattice from its end or fit the data as its own residuals
     with pytest.raises(ConfigError, match="p_max"):
         fit_var(_white_panel(n_samples=1024, seed=4), p_max=0)
+    panel = simulate(example_model(1), 1024, 3)
+    for long_ar_order in (-5, 0):
+        with pytest.raises(ConfigError, match="long_ar_order"):
+            fit_vma(panel, 1, long_ar_order=long_ar_order)
+        with pytest.raises(ConfigError, match="long_ar_order"):
+            fit_varma(panel, 1, 1, long_ar_order=long_ar_order)
 
 
 # ------------------------------------------------------------ shared lattice
@@ -238,17 +248,31 @@ def _assert_same_report(a, b):
         assert np.array_equal(getattr(a.model, name), getattr(b.model, name)), name
 
 
+def _group_lattice(panels, depth):
+    """Each panel's ``(stages, error)`` in one lattice of ``panels`` to order ``depth``, as ``_fit_group`` runs it."""
+    lags, edges = estimators._lag_products(np.stack([panel.data for panel in panels]), depth)
+    return estimators._lattice_run(lags, edges, panels[0].n_samples, depth)
+
+
 def _stages(panel, p_max):
     """A lone panel's stages for p = 0..p_max; the error of a failed stage is raised."""
-    ((stages, error),) = estimators._lattice_run([panel.data], p_max)
+    ((stages, error),) = _group_lattice([panel], p_max)
     if error is not None:
         raise error
     return stages
 
 
 def _residuals(panel, long_ar_order):
-    """A lone panel's long-VAR residuals."""
-    return estimators._long_var_residuals(panel.data, _stages(panel, long_ar_order)[long_ar_order][0])
+    """A lone panel's long-VAR residuals, formed from the samples by the reference."""
+    return ref.long_var_residuals(panel.data, _stages(panel, long_ar_order)[long_ar_order][0])
+
+
+def _lone_two_step(panel, p, q, step=estimators._regress_two_step):
+    """``step`` (``_regress_two_step`` or ``_two_step_gram``) of a lone panel, from its lag products and lattice."""
+    off = estimators.DEFAULT_LONG_AR_ORDER
+    lags, edges = estimators._lag_products(panel.data[None], off + max(p, q))
+    ((stages, _),) = estimators._lattice_run(lags, edges, panel.n_samples, off)
+    return step(lags[0], edges[0], stages[off][0], panel.n_samples, p, q)
 
 
 #: the fits of test_shared_lattice_fits_are_bit_identical_to_standalone, as _fit_group fits and as lone fits
@@ -275,10 +299,10 @@ def _count_stages(monkeypatch):
     sizes = []  # list.append is atomic, so threads may share it
     original = estimators._lattice_stages
 
-    def counting(x, cap):
-        for k, stage in enumerate(original(x, cap)):
+    def counting(lags, edges, n_samp):
+        for k, stage in enumerate(original(lags, edges, n_samp)):
             if k:
-                sizes.append(len(x))
+                sizes.append(len(lags))
             yield stage
 
     monkeypatch.setattr(estimators, "_lattice_stages", counting)
@@ -366,21 +390,86 @@ def test_interrupted_lattice_is_not_cached(monkeypatch, size):
         _assert_same_report(fit_var(panel, p_max=10), report)
 
 
-def test_long_var_residuals_computed_once_per_panel(monkeypatch):
-    # one lattice to order 50 serves every fit; the VARMA fit reuses the VMA fit's
-    # residuals, and another long AR order is another set
+def test_lag_products_computed_once_per_group(monkeypatch):
+    # one set of lag products, to the deepest lag any fit reads (50 + 20), serves the lattice
+    # to order 50 and every fit of both panels: the VAR sweep, two long AR orders, VMA and VARMA
     panels = [simulate(example_model(2), 2048, seed=s) for s in (3, 4)]
     sizes = _count_stages(monkeypatch)
-    real, orders = estimators._long_var_residuals, []
-    monkeypatch.setattr(estimators, "_long_var_residuals", lambda x, ar: orders.append(len(ar)) or real(x, ar))
-    fits = [("two_step", 0, 3, 50), ("two_step", 2, 2, 50), ("two_step", 0, 3, 40)]
+    real, calls = estimators._lag_products, []
+    monkeypatch.setattr(estimators, "_lag_products", lambda x, depth: calls.append((len(x), depth)) or real(x, depth))
+    fits = [("var", 30), ("two_step", 0, 20, 50), ("two_step", 2, 2, 50), ("two_step", 0, 3, 40)]
     got = estimators._fit_group(panels, fits)
+    assert calls == [(2, 70)]
     assert sum(sizes) == 2 * len(sizes) == 100
-    assert sorted(orders) == [40, 40, 50, 50]
     for panel, own in zip(panels, got):
-        _assert_same_report(own[fits[0]], fit_vma(panel, 3))
-        _assert_same_report(own[fits[1]], fit_varma(panel, 2, 2))
-        _assert_same_report(own[fits[2]], fit_vma(panel, 3, long_ar_order=40))
+        _assert_same_report(own[fits[0]], fit_var(panel, p_max=30))
+        _assert_same_report(own[fits[1]], fit_vma(panel, 20))
+        _assert_same_report(own[fits[2]], fit_varma(panel, 2, 2))
+        _assert_same_report(own[fits[3]], fit_vma(panel, 3, long_ar_order=40))
+
+
+def test_outcome_dicts_keep_the_order_of_fits():
+    # the two-step outcomes are filled in after the var ones, past the guard, and a fit with
+    # too few samples or a degenerate panel takes its error in place: each dict lists the fits as given
+    rng = np.random.default_rng(0)
+    constant = TimeSeriesPanel(np.vstack([rng.standard_normal((2, 1024)), np.full(1024, 0.1)]))
+    panels = [simulate(example_model(2), 1024, seed=0), constant, simulate(example_model(2), 1024, seed=1)]
+    fits = [("two_step", 2, 2, 50), ("var", 30), ("two_step", 0, 300, 50), ("two_step", 0, 5, 50), ("var", 5)]
+    got = estimators._fit_group(panels, fits)
+    assert [list(own) for own in got] == [fits] * 3
+    assert all(type(outcome) is DegeneratePanelError for outcome in got[1].values())
+    for own in (got[0], got[2]):
+        assert [type(outcome) for outcome in own.values()] == [FitReport, FitReport, ConfigError, FitReport, FitReport]
+
+
+#: normal equations and Σ, and coefficients: bounds on the deviation from products over the window,
+#: relative to the largest reference entry and to the panel's energy ratio (see below)
+GRAM_BOUNDS = {"16384": (5e-13, 1e-12), "shortest": (2e-12, 1e-11)}
+
+
+def _gram_deviations(panel, p, q):
+    """The lag-product route's normal equations, Σ and coefficients against the window products, and the energy ratio."""
+    off, n_s = estimators.DEFAULT_LONG_AR_ORDER, panel.n_samples
+    lags, edges = estimators._lag_products(panel.data[None], off + max(p, q))
+    ((stages, _),) = estimators._lattice_run(lags, edges, n_s, off)
+    zz, zy, sigma = estimators._two_step_gram(lags[0], edges[0], stages[off][0], n_s, p, q)
+    eps = ref.long_var_residuals(panel.data, stages[off][0])
+    want_zz, want_zy = ref.two_step_normal_equations(panel.data, eps, p, q)
+    want_sigma = eps @ eps.T / eps.shape[1]
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    ratio = np.trace(panel.data @ panel.data.T) / n_s / np.trace(want_sigma)
+    coefficients = rel(np.linalg.solve(zz, zy), np.linalg.solve(want_zz, want_zy))
+    return max(rel(zz, want_zz), rel(zy, want_zy), rel(sigma, want_sigma)), coefficients, ratio
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (0, 20), (1, 0), (2, 1), (2, 2)])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gram_normal_equations_match_the_window_products(n, p, q):
+    """The two-step normal equations and Σ from lag products against products over the window.
+
+    Random stable VARMA(2, 1) panels of N = 1..7 channels, at n_s = 16384
+    (seed N) and at the shortest panels the fits accept, n_s = 4 (P + max(p, q))
+    (seeds 0-11).  The Gram is a difference of sums over the whole record,
+    so it loses digits in proportion to the energy ratio
+    ``tr(C_0 / n_s) / tr(Σ)``, how far the residuals lie below the data:
+    that ratio reaches 1374 at 16384 and 2138 at the shortest panels here.
+    Over seeds 0-11 the normal equations and Σ deviated by at most
+    1.6e-13 times the ratio at 16384 (1.6e-10 in all) and 6.9e-13 times it
+    at the shortest panels (6.3e-10), the coefficients by 3.6e-13 and
+    4.5e-12 times it (4.9e-10 and 3.1e-9, the latter at a design condition
+    number of 6e4).  On ratios near 1 every deviation is near 1e-15.
+    """
+    off = estimators.DEFAULT_LONG_AR_ORDER
+    cases = [("16384", 16384, n)] + [("shortest", 4 * (off + max(p, q)), seed) for seed in range(12)]
+    for label, n_s, seed in cases:
+        model = _random_stable_model(np.random.default_rng(1000 * n + seed), n, 2, 1)
+        products, coefficients, ratio = _gram_deviations(simulate(model, n_s, seed=seed), p, q)
+        bound, coefficient_bound = GRAM_BOUNDS[label]
+        assert products <= bound * ratio, (label, seed, products, ratio)
+        assert coefficients <= coefficient_bound * ratio, (label, seed, coefficients, ratio)
 
 
 def _traced_peak(f):
@@ -405,30 +494,28 @@ def _traced_peak(f):
     ],
 )
 def test_streamed_normal_equations_match_one_product(p, q, n_blocks, extra):
+    # the panel lengths at and around the ends of the 256 KiB regressor blocks that the normal
+    # equations were once accumulated over: the lag-product route, which has no blocks, matches
+    # one product over the whole window, and Σ the covariance of the residuals
     step = BLOCK_BYTES // (8 * 3 * (p + q))  # samples per block on 3 channels
     off = estimators.DEFAULT_LONG_AR_ORDER
     n_s = off + max(p, q) + n_blocks * step + extra
     panel = simulate(example_model(2), n_s, seed=p + q + n_blocks)
     eps = _residuals(panel, off)
-    got = estimators._normal_equations(panel.data, eps, p, q)
-    want = ref.two_step_normal_equations(panel.data, eps, p, q)
+    got = _lone_two_step(panel, p, q, estimators._two_step_gram)
+    want = ref.two_step_normal_equations(panel.data, eps, p, q) + (eps @ eps.T / eps.shape[1],)
     for g, w in zip(got, want):
-        if n_blocks == 1 and extra <= 0:
-            assert np.array_equal(g, w)
-        else:
-            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
 
-def test_two_step_memory_is_bounded_by_the_block():
-    # with the whole regressor matrix, the regression of fit_vma(q=20) peaked at 8.3 MB on this panel
-    streamed = []
+def test_two_step_memory_does_not_grow_with_the_panel():
+    # a VMA(20) fit reads its panel only through the lag products: no residual or regressor
+    # sequence of the panel's length is formed, so its peak stays put when n_s doubles
+    peaks = []
     for n_s in (16384, 32768):
         panel = simulate(example_model(2), n_s, seed=8)
-        eps = _residuals(panel, estimators.DEFAULT_LONG_AR_ORDER)
-        if n_s == 16384:
-            assert _traced_peak(lambda: estimators._regress_two_step(panel.data, eps, 0, 20)) < 1_000_000
-        streamed.append(_traced_peak(lambda: estimators._normal_equations(panel.data, eps, 0, 20)))
-    assert streamed[1] < 1.5 * streamed[0]
+        peaks.append(_traced_peak(lambda: fit_vma(panel, 20)))
+    assert peaks[1] < 1.05 * peaks[0]
 
 
 CONCURRENT_ORDERS = [5, 30, 12, 50, 20, 40, 8, 25]
@@ -454,8 +541,8 @@ def _run_concurrently(monkeypatch, work):
     sizes = _count_stages(monkeypatch)
     counting = estimators._lattice_stages
 
-    def slow(x, cap):
-        for stage in counting(x, cap):
+    def slow(*args):
+        for stage in counting(*args):
             time.sleep(1e-4)
             yield stage
 
@@ -526,7 +613,7 @@ def _assert_same_stages(got, want):
 
 def _assert_group_matches_lone_panels(panels, p_max):
     """Each panel's stages in one lattice of ``panels`` are its lone stages, bit for bit."""
-    grouped = estimators._lattice_run([panel.data for panel in panels], p_max)
+    grouped = _group_lattice(panels, p_max)
     assert len(grouped) == len(panels)
     for panel, (stages, error) in zip(panels, grouped):
         assert error is None
@@ -550,7 +637,7 @@ def test_lattice_matches_per_block_reference(n):
             simulate(_random_stable_model(rng, n, int(rng.integers(1, 4)), 0), 1500, seed=s)
             for s in range(size)
         ]
-        for panel, (stages, _) in zip(panels, estimators._lattice_run([pn.data for pn in panels], p_max)):
+        for panel, (stages, _) in zip(panels, _group_lattice(panels, p_max)):
             assert all(ar.shape == (m, n, n) and cov.shape == (n, n) for m, (ar, cov) in enumerate(stages))
         _assert_group_matches_lone_panels(panels, p_max)
 
@@ -567,11 +654,11 @@ def _random_panel(n, n_samples, seed):
 # filters.  Over seeds 0-11 the largest deviations were 2.0e-13 (ex2, 16384),
 # 6.3e-14 (N = 7, 16384), 1.2e-11 (ex2, 152), 2.3e-12 (N = 7, 352), 7.7e-13
 # (ex2, 280), 1.3e-11 (ex1, 102) and 1.6e-12 (ex1, 16384); the error-domain
-# lattice stays within 1.1e-13 on all of them.  Order 140 passes the
-# operators' capacity twice.  Example 2 with 20, 40, 64 and 65 samples (p 8,
-# 15, 30, 30) is shorter than the 64 samples each edge window spans, as long,
-# or one sample longer: at seed 0 those deviate by 1.4e-12, 2.5e-12, 1.3e-11
-# and 8.6e-12, over seeds 0-11 by at most 5.5e-11 (64 samples, p = 30).
+# lattice stays within 1.1e-13 on all of them.  Order 140 runs a lattice
+# sized once for it.  Example 2 with 20, 40, 64 and 65 samples (p 8, 15, 30,
+# 30) fits orders near half the record, where the edge windows span most of
+# it: at seed 0 those deviate by 1.4e-12, 2.5e-12, 1.3e-11 and 8.6e-12, over
+# seeds 0-11 by at most 5.5e-11 (64 samples, p = 30).
 EXTREME_LATTICES = {
     "ex2-16384": (lambda: simulate(example_model(2), 16384, seed=0), 50, 1e-12),
     "n7-16384": (lambda: _random_panel(7, 16384, 0), 50, 1e-12),
@@ -599,8 +686,8 @@ def test_lattice_matches_per_block_reference_at_the_extremes(case):
     [pytest.param(2048, 140, id="n2048-order140"), pytest.param(40, 19, id="n40-order19")],
 )
 def test_lattice_group_past_capacity_matches_lone_panels(n_samples, p_max):
-    # the edge windows are rebuilt when the operators grow past 64, and hold the
-    # whole record of a shorter panel; grouped stages stay bit-identical either way,
+    # a deep lattice, sized once for its order, and one whose edge windows hold nearly
+    # the whole record of a short panel: grouped stages stay bit-identical either way,
     # and so do the reports of fits that read them
     panels = [_random_panel(2, n_samples, s) for s in range(3)]
     _assert_group_matches_lone_panels(panels, p_max)
@@ -625,42 +712,46 @@ def test_lattice_past_order_n_s_minus_1_spends_its_group(failing):
     # alone and keeps the 40 stages it reaches, with its own error
     seeds = (2, 3) if failing == 0 else (3, 2)
     panels = [simulate(example_model(4), 40, seed=s) for s in seeds]
-    grouped = estimators._lattice_run([panel.data for panel in panels], 140)
+    grouped = _group_lattice(panels, 140)
     for panel, (stages, error) in zip(panels, grouped):
         assert isinstance(error, NumericalError) and str(error) == PAST_N_S
         _assert_same_stages(stages, _stages(panel, 39))
 
 
 @pytest.mark.parametrize("size", [1, 3])
-def test_lattice_group_frees_its_buffers_at_its_depth(monkeypatch, size):
-    # the lattice closes at the deepest order the fits read, before any fit is made
-    edges = []
-    real_edge_windows = estimators._edge_windows
+def test_group_frees_its_lag_products_before_the_guard(monkeypatch, size):
+    # the group's one lag column and one E serve the lattice and every regression, and are
+    # gone before the first minimum-phase stack
+    buffers, alive = [], []
+    real_lag_products, real_regress = estimators._lag_products, estimators._regress_two_step
+    real_guard = estimators._minimum_phase_stack
 
-    def tracked_edge_windows(x, cap):
-        e = real_edge_windows(x, cap)
-        edges.append(weakref.ref(e))
-        return e
+    def tracked_lag_products(x, depth):
+        lags, edges = real_lag_products(x, depth)
+        buffers.extend([weakref.ref(lags), weakref.ref(edges)])
+        return lags, edges
 
-    alive = []
-    real_regress = estimators._regress_two_step
-
-    def checking_regress(*args):
-        gc.collect()
-        alive.append(edges[0]() is not None)
+    def regressing(*args):
+        alive.append([ref() is not None for ref in buffers])
         return real_regress(*args)
 
-    monkeypatch.setattr(estimators, "_edge_windows", tracked_edge_windows)
-    monkeypatch.setattr(estimators, "_regress_two_step", checking_regress)
+    def checking_guard(parts):
+        gc.collect()
+        alive.append([ref() is not None for ref in buffers])
+        return real_guard(parts)
+
+    monkeypatch.setattr(estimators, "_lag_products", tracked_lag_products)
+    monkeypatch.setattr(estimators, "_regress_two_step", regressing)
+    monkeypatch.setattr(estimators, "_minimum_phase_stack", checking_guard)
     panels = [simulate(example_model(2), 1024, seed=s) for s in range(size)]
-    fits = [("var", 7), ("two_step", 0, 1, 12)]
+    fits = [("var", 7), ("two_step", 0, 1, 12), ("two_step", 1, 1, 12)]
     got = estimators._fit_group(panels, fits)
-    assert len(edges) == 1 and alive == [False] * size  # one E, gone with the lattice
-    gc.collect()
-    assert edges[0]() is None
+    assert len(buffers) == 2
+    assert alive == [[True, True]] * (2 * size) + [[False, False]] * 2  # two regressions a panel, two stacks
     for panel, own in zip(panels, got):
         _assert_same_report(own[fits[0]], fit_var(panel, p_max=7))
         _assert_same_report(own[fits[1]], fit_vma(panel, 1, long_ar_order=12))
+        _assert_same_report(own[fits[2]], fit_varma(panel, 1, 1, long_ar_order=12))
 
 
 @pytest.mark.parametrize("cap, n_samples", [(8, 1), (8, 5), (8, 8), (8, 13), (64, 40), (64, 64), (64, 65), (64, 300)])
@@ -745,9 +836,10 @@ def test_failed_stage_fails_only_the_deeper_fits_of_its_panel(monkeypatch):
     panels = [simulate(example_model(1), 1024, seed=s) for s in range(3)]
     real = estimators._lattice_stages
 
-    def failing(x, cap):
-        for m, stage in enumerate(real(x, cap)):
-            if m == 12 and any(np.array_equal(xi, panels[1].data) for xi in x):
+    def failing(lags, edges, n_samp):
+        for m, stage in enumerate(real(lags, edges, n_samp)):
+            # the first column of a panel's edge windows starts with its first sample
+            if m == 12 and any(np.array_equal(e[:2, 0], panels[1].data[:, 0]) for e in edges):
                 raise NumericalError("Nuttall-Strand stage 12 failed: forced")
             yield stage
 
@@ -837,8 +929,7 @@ def test_failed_root_check_fails_only_its_own_fit(monkeypatch):
     # 56002's MA root check raising (forced) fails its fit alone; in the same guard stack
     # 56001 and 56003 are swapped and 56000 is kept, each with its lone report
     panels = [simulate(example_model(1), 1024, seed=s) for s in range(56000, 56004)]
-    eps = _residuals(panels[2], estimators.DEFAULT_LONG_AR_ORDER)
-    bad_ma = estimators._regress_two_step(panels[2].data, eps, 0, 1)[1]
+    bad_ma = _lone_two_step(panels[2], 0, 1)[1]
     real = estimators.ma_root_report
 
     def failing(model):
@@ -895,9 +986,7 @@ def test_guard_stack_members_match_lone_guards():
     # the stack-level guard against its stack of one, on swapped and untouched MA parts
     parts = []
     for seed in range(56000, 56008):
-        panel = simulate(example_model(1), 1024, seed=seed)
-        eps = _residuals(panel, estimators.DEFAULT_LONG_AR_ORDER)
-        parts.append(estimators._regress_two_step(panel.data, eps, 0, 1)[1:])
+        parts.append(_lone_two_step(simulate(example_model(1), 1024, seed=seed), 0, 1)[1:])
     for part, (got_ma, got_sigma) in zip(parts, estimators._minimum_phase_stack(parts)):
         ((want_ma, want_sigma),) = estimators._minimum_phase_stack([part])
         assert np.array_equal(got_ma, want_ma) and np.array_equal(got_sigma, want_sigma)

@@ -42,12 +42,10 @@ from .errors import ConfigError, DegeneratePanelError, NumericalError
 from .models import (
     COND_LIMIT,
     FrequencyGrid,
-    SpectralMatrix,
     VarmaModel,
-    _stacked_matmul,
-    eval_ma_polynomial,
     ar_root_report,
     ma_root_report,
+    theoretical_spectrum,
 )
 from .simulate import TimeSeriesPanel, _check_panel
 
@@ -313,13 +311,11 @@ def _minimum_phase_stack(parts) -> list:
             report = ma_root_report(probe)
             if report.roots.size == 0 or np.max(report.magnitudes) <= 1.0 + 1e-6:
                 continue
-            grid = FrequencyGrid(max(1024, 8 * ma_blocks.shape[0]))
-            B = eval_ma_polynomial(probe, grid.values)
-            S = _stacked_matmul(_stacked_matmul(B, sigma), B.conj().transpose(0, 2, 1))
+            spectrum = theoretical_spectrum(probe, FrequencyGrid(max(1024, 8 * ma_blocks.shape[0])))
         except Exception as exc:  # this part's own error, not the stack's
             out[k] = exc
             continue
-        spectra.append(SpectralMatrix(grid, S))
+        spectra.append(spectrum)
         swapped.append(k)
     if not swapped:
         return out

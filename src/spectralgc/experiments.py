@@ -98,7 +98,13 @@ EXAMPLE_VMA_Q = {2: 20}
 #: of 44.5, 46.2 and 48.8 MB.  With the buffers freed at the deepest order the fits
 #: read, groups of eight, with the group's Welch estimates factored as one Wilson
 #: stack, took it from 0.273 to 0.230 s a call (medians of 10 alternating pairs
-#: against groups of four), at a peak RSS of 44.18 MB against 44.13.
+#: against groups of four), at a peak RSS of 44.18 MB against 44.13.  Larger groups
+#: trade memory for time past the benchmark's 5% peak-RSS bound: groups of 32 cut
+#: mc-ex1-short's CPU time by 11.5% (22 of 28 pairs) but raised its peak RSS from
+#: 44.8 to 51.2 MB, and groups of 4 on mc-ex2-long gained nothing (9 of 22 pairs).
+#: Fitting every second group in the caller with a pool of ``n_jobs - 1`` cut
+#: mc-ex2-jobs2's CPU time from 0.233 to 0.208 s but raised its peak RSS from 42.7
+#: to 46.8 MB.
 LATTICE_GROUP_SAMPLES = 16384
 
 #: the spec fields :func:`analyze_panel` reads, the only ones its summary records

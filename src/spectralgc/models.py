@@ -352,18 +352,18 @@ def transfer_function(model: VarmaModel, grid: FrequencyGrid) -> SpectralFactor:
     1-norm condition number that the ``COND_LIMIT`` check reads (as
     ``numpy.linalg.cond(A, 1)`` computes it) and ``H = A^{-1} B``.  A pure
     VAR (``B = I``) returns that inverse, bit-identical to ``solve(A, I)``,
-    and a pure VMA returns ``B``.
+    and a pure VMA returns ``B``; neither evaluates the polynomial it
+    does not read.
 
     Raises
     ------
     SingularFrequencyError
         If ``A(nu_k)`` is ill conditioned at some grid point.
     """
-    A = eval_ar_polynomial(model, grid.values)
-    B = eval_ma_polynomial(model, grid.values)
     if model.ar_order == 0:
-        H = B
+        H = eval_ma_polynomial(model, grid.values)
     else:
+        A = eval_ar_polynomial(model, grid.values)
         try:
             A_inv = np.linalg.inv(A)
             conds = np.linalg.norm(A, 1, axis=(1, 2)) * np.linalg.norm(A_inv, 1, axis=(1, 2))
@@ -376,7 +376,7 @@ def transfer_function(model: VarmaModel, grid: FrequencyGrid) -> SpectralFactor:
                 f"(cond={conds[k]:.2e})"
             )
         pure_var = model.ma_order == 0 and np.array_equal(model.ma_blocks[0], np.eye(model.n_channels))
-        H = A_inv if pure_var else _stacked_matmul(A_inv, B)
+        H = A_inv if pure_var else _stacked_matmul(A_inv, eval_ma_polynomial(model, grid.values))
     return SpectralFactor(grid, H, model.innovations_cov)
 
 

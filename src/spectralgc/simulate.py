@@ -96,11 +96,16 @@ def simulate(model: VarmaModel, n_samples: int, seed: int, burn_in: int = DEFAUL
 
     Raises
     ------
+    ConfigError
+        If ``n_samples`` is below 1, or ``burn_in`` or ``seed`` is negative.
     UnstableModelError
         If the AR part of ``model`` is not stable.
     """
     if n_samples < 1:
         raise ConfigError(f"n_samples must be positive, got {n_samples}")
+    for name, value in (("burn_in", burn_in), ("seed", seed)):
+        if value < 0:
+            raise ConfigError(f"{name} must be non-negative, got {value}")
     report = ar_root_report(model)
     if report.classification != "stable":
         worst = report.magnitudes.max()

@@ -3,7 +3,7 @@
 Averaged modified periodograms with a periodic von Hann window and 50%
 segment overlap.  The data are real, so real FFTs give the estimate on
 the ``segment_len/2 + 1`` one-sided frequencies of ``[0, 1/2]``, the
-layout the spectral factorization routine takes.
+grid the spectral factorization routine takes.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ def welch_cross_spectrum(panel: TimeSeriesPanel, segment_len: int = 256) -> Spec
     assigns the cross-periodogram sum and each later batch adds to it.  A
     panel whose segments fit in one batch (every example-1 panel at
     n_s = 1024) gives an estimate bit-identical to one sum over all
-    segments, in the same memory layout; across batches only the summation
-    order changes.  On example 2 at n_s = 16384 (four batches) the ``wn``
-    mean tPDC MSEs of 8 runs of 4 realizations moved by at most 1.6e-14
-    relative.
+    segments; across batches only the summation order changes.  On
+    example 2 at n_s = 16384 (four batches) the ``wn`` mean tPDC MSEs of 8
+    runs of 4 realizations moved by at most 1.6e-14 relative.
 
     Returns
     -------
@@ -84,8 +83,5 @@ def welch_cross_spectrum(panel: TimeSeriesPanel, segment_len: int = 256) -> Spec
         else:
             S += products
     S /= n_seg * u * L
-    # frequency-fastest view of the (N, N, L/2 + 1) sum, the layout Wilson
-    # takes its grid mean in (so it copies nothing), as a one-shot sum over
-    # all segments also has
     return SpectralMatrix(FrequencyGrid(L), S.transpose(2, 0, 1))
 

@@ -75,21 +75,6 @@ def _causal_part(g: np.ndarray, F: int) -> np.ndarray:
     return np.fft.rfft(lags, axis=1)
 
 
-def _grid_mean(x: np.ndarray, F: int) -> np.ndarray:
-    """Mean over the full grid of a conjugate-symmetric array, from its one-sided part."""
-    return (x[0] + x[-1] + 2.0 * x[1:-1].sum(axis=0)).real / F
-
-
-def _canonical_grid_mean(S: np.ndarray, F: int) -> np.ndarray:
-    """:func:`_grid_mean` of an ``(F/2 + 1, N, N)`` spectrum, summed in one memory layout.
-
-    The sum is taken over a frequency-fastest copy (Welch's own layout,
-    which needs no copy), so a spectrum's mean, and its factor, do not
-    depend on how its values are laid out in memory.
-    """
-    return _grid_mean(np.ascontiguousarray(S.transpose(1, 2, 0)).transpose(2, 0, 1), F)
-
-
 def _check_real_endpoints(S: np.ndarray) -> None:
     imaginary = np.max(np.abs(S[[0, -1]].imag))
     scale = np.max(np.abs(S))
@@ -124,14 +109,14 @@ def _start(S: np.ndarray, F: int) -> np.ndarray:
     """Check one spectrum; its constant-in-frequency start, the lower Cholesky factor of its grid mean."""
     _check_real_endpoints(S)
     _check_psd(S)
-    S_mean = _canonical_grid_mean(S, F)
+    S_mean = np.fft.irfft(S, n=F, axis=0)[0]  # the mean of S over the full grid
     S_mean = 0.5 * (S_mean + S_mean.T)
     return np.broadcast_to(np.linalg.cholesky(S_mean + 1e-14 * np.eye(S.shape[1])), S.shape)
 
 
 def _finish(spectrum: SpectralMatrix, psi: np.ndarray, iteration: int, delta) -> SpectralFactor:
     """Normalize one converged ``psi`` to ``H`` with a lag-0 identity and ``sigma``."""
-    psi0 = _grid_mean(psi, spectrum.grid.n_points)  # zero-lag coefficient of the psi expansion
+    psi0 = np.fft.irfft(psi, n=spectrum.grid.n_points, axis=0)[0]  # zero-lag coefficient of psi
     factor = SpectralFactor(spectrum.grid, _stacked_matmul(psi, np.linalg.inv(psi0)), psi0 @ psi0.T)
     S = spectrum.values
     residual = float(np.max(np.abs(factor.spectrum().values - S)) / np.max(np.abs(S)))
@@ -152,10 +137,8 @@ def _factorize_stack(spectra, tol: float = 1e-6, max_iter: int = 500) -> list:
     iterate with an exactly singular matrix would raise ``LinAlgError``
     out of the batched inverse for the whole stack, as it does alone.)
     numpy hands LAPACK, BLAS and the FFT one matrix or one line at a time,
-    so a member's factor is bit-identical to a lone call's.  The one
-    order-dependent sum, the grid mean of the input, is taken in one
-    memory layout (:func:`_canonical_grid_mean`), so a factor depends on
-    its spectrum's values and not on their layout.
+    so a member's factor is bit-identical to a lone call's, whatever the
+    memory layout of its spectrum.
     """
     out = [None] * len(spectra)
     live, starts = [], []

@@ -20,6 +20,7 @@ from spectralgc import (
     TimeSeriesPanel,
     VarmaModel,
     ar_root_report,
+    eval_ma_polynomial,
     example_model,
     fit_var,
     fit_varma,
@@ -30,7 +31,7 @@ from spectralgc import (
     theoretical_spectrum,
 )
 from spectralgc import estimators, experiments, wilson
-from spectralgc.models import BLOCK_BYTES
+from spectralgc.models import BLOCK_BYTES, _stacked_matmul
 
 import reference_impl as ref
 from test_simulate import _random_stable_model
@@ -990,6 +991,26 @@ def test_guard_stack_members_match_lone_guards():
     for part, (got_ma, got_sigma) in zip(parts, estimators._minimum_phase_stack(parts)):
         ((want_ma, want_sigma),) = estimators._minimum_phase_stack([part])
         assert np.array_equal(got_ma, want_ma) and np.array_equal(got_sigma, want_sigma)
+
+
+def test_guard_swaps_the_spectrum_of_the_ma_part(monkeypatch):
+    # each swapped part enters Wilson as its B sigma B^H on the guard's grid, bit for bit
+    seeds = range(56000, 56008)
+    parts = [_lone_two_step(simulate(example_model(1), 1024, seed=s), 0, 1)[1:] for s in seeds]
+    real, seen = wilson._factorize_stack, []
+
+    def recording(spectra, tol, max_iter):
+        seen.extend(spectra)
+        return real(spectra, tol, max_iter)
+
+    monkeypatch.setattr(wilson, "_factorize_stack", recording)
+    estimators._minimum_phase_stack(parts)
+    swapped = [part for seed, part in zip(seeds, parts) if seed in SWAPPED_SEEDS]
+    assert len(seen) == len(swapped) == 5
+    for spectrum, (ma, sigma) in zip(seen, swapped):
+        B = eval_ma_polynomial(VarmaModel(np.zeros((0, 2, 2)), ma, sigma), spectrum.grid.values)
+        want = _stacked_matmul(_stacked_matmul(B, sigma), B.conj().transpose(0, 2, 1))
+        assert spectrum.grid.n_points == 1024 and np.array_equal(spectrum.values, want)
 
 
 def test_concurrent_fits_of_one_two_step_group():

@@ -297,6 +297,32 @@ def test_transfer_function_inverts_a_once():
     assert np.max(np.abs(H - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("kind", ["var", "vma", "varma"])
+def test_transfer_function_evaluates_only_the_polynomials_it_reads(monkeypatch, kind):
+    # H is bit for bit the one formed from both polynomials, and A (B) is not evaluated
+    # for a pure VMA (VAR)
+    grid = FrequencyGrid(512)
+    varma = _random_model(3, 2, 1)
+    model = {
+        "var": VarmaModel(varma.ar_blocks, np.eye(3)[None], varma.innovations_cov),
+        "vma": VarmaModel(np.zeros((0, 3, 3)), varma.ma_blocks, varma.innovations_cov),
+        "varma": varma,
+    }[kind]
+    A, B = eval_ar_polynomial(model, grid.values), eval_ma_polynomial(model, grid.values)
+    want = {"var": np.linalg.inv(A), "vma": B, "varma": models._stacked_matmul(np.linalg.inv(A), B)}[kind]
+    calls = []
+    for name in ("eval_ar_polynomial", "eval_ma_polynomial"):
+
+        def recording(m, nu, name=name, real=getattr(models, name)):
+            calls.append(name)
+            return real(m, nu)
+
+        monkeypatch.setattr(models, name, recording)
+    assert np.array_equal(transfer_function(model, grid).values, want)
+    read = {"var": ["ar"], "vma": ["ma"], "varma": ["ar", "ma"]}[kind]
+    assert calls == [f"eval_{part}_polynomial" for part in read]
+
+
 def test_transfer_function_reports_the_condition_number_of_a_near_singular_frequency():
     # A(0) = diag(1e-13, 0.5) is invertible, with a 1-norm condition number above COND_LIMIT
     model = VarmaModel(np.array([np.diag([1.0 - 1e-13, 0.5])]), np.eye(2)[None], np.eye(2))

@@ -197,6 +197,17 @@ def test_simulate_rejects_empty_request():
         simulate(_identity_model(), 0, seed=1)
 
 
+@pytest.mark.parametrize("burn_in", [-5, -1000])  # an empty panel and numpy's negative dimensions
+def test_simulate_rejects_negative_burn_in(burn_in):
+    with pytest.raises(ConfigError, match=f"burn_in must be non-negative, got {burn_in}"):
+        simulate(example_model(2), 10, seed=1, burn_in=burn_in)
+
+
+def test_simulate_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        simulate(example_model(2), 10, seed=-1)
+
+
 def _random_stable_model(rng, n, p, q, root_radius=None):
     """Random stable VARMA(p, q); ``root_radius`` plants a real AR root of that magnitude."""
     while True:

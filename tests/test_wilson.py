@@ -192,18 +192,23 @@ def test_stacked_members_match_lone_calls(max_iter):
         _assert_same_outcome(g, w)
 
 
-def test_stack_of_one_in_c_order():
-    # a factor depends on its spectrum's values, not on their memory layout: a C-ordered
-    # copy of a Welch estimate (frequency-fastest) factors bit for bit as the estimate does,
-    # alone and in a stack, and the estimate keeps the summation order of its own layout
-    S = welch_cross_spectrum(simulate(example_model(1), 1024, seed=3))
-    c_order = SpectralMatrix(S.grid, np.ascontiguousarray(S.values))
-    assert c_order.values.flags.c_contiguous and not S.values.flags.c_contiguous
-    F = S.grid.n_points
-    assert np.array_equal(wilson._canonical_grid_mean(S.values, F), wilson._grid_mean(S.values, F))
-    want = _lone(S)
-    _assert_same_outcome(_lone(c_order), want)
-    for got in wilson._factorize_stack([c_order, S]):
+def _layouts(values):
+    """``values`` held as C-order, Fortran-order, frequency-fastest and strided arrays."""
+    strided = np.empty((values.shape[0], 2 * values.shape[1], 3 * values.shape[2]), complex)[:, ::2, ::3]
+    strided[...] = values
+    frequency_fastest = np.ascontiguousarray(values.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return [np.ascontiguousarray(values), np.asfortranarray(values), frequency_fastest, strided]
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_factor_does_not_depend_on_memory_layout(example):
+    # one Welch estimate in four memory layouts factors bit for bit the same, alone and in one stack
+    S = welch_cross_spectrum(simulate(example_model(example), 1024, seed=3))
+    copies = [SpectralMatrix(S.grid, values) for values in _layouts(S.values)]
+    assert len({copy.values.strides for copy in copies}) == 4
+    want = _lone(copies[0])
+    assert not isinstance(want, Exception)
+    for got in [_lone(copy) for copy in copies] + wilson._factorize_stack(copies):
         _assert_same_outcome(got, want)
 
 
